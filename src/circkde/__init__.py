@@ -21,7 +21,9 @@ from .estimators import (
     DensityGrid,
     FunctionalEstimate,
     default_grid,
+    grid_ise,
     ise,
+    ise_weights,
     kde,
     kde_deriv,
     kde_values,
@@ -100,7 +102,9 @@ __all__ = [
     "DensityGrid",
     "FunctionalEstimate",
     "default_grid",
+    "grid_ise",
     "ise",
+    "ise_weights",
     "kde",
     "kde_deriv",
     "kde_values",

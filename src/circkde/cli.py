@@ -280,17 +280,7 @@ def cmd_modes(ingest, cfg, method):
     """
     if method not in _SELECTORS:
         raise CliError("usage", f"unknown selector {method!r}", exit_code=2)
-    cfg = SelectorConfig(
-        kernel_family=cfg.kernel_family,
-        pilot_family=cfg.pilot_family,
-        r=1,
-        nstage=cfg.nstage,
-        M_max=cfg.M_max,
-        exact_inversion=cfg.exact_inversion,
-        seed=cfg.seed,
-        ste_bracket=cfg.ste_bracket,
-        ste_tol=cfg.ste_tol,
-    )
+    cfg = dataclasses.replace(cfg, r=1)
     sample = _load_sample(ingest)
     sel = _SELECTORS[method](sample, cfg)
     if sel.fallback_uniform or sel.nu == 0.0:

@@ -28,16 +28,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BracketingError, FitError, ToleranceError, UnsupportedKernelError
-from .estimators import default_grid, kde_values, psi_hat
+from .estimators import grid_ise, ise_weights, kde_values, psi_hat
 from .kernels import (
-    DEFAULT_TRUNCATION,
     UNIFORM_BANDWIDTH,
     UNIFORM_FALLBACK,
     KernelFamily,
     KernelSpec,
     bandwidth,
     concentration_from_bandwidth,
-    derivative_weights,
     is_uniform_fallback,
     kernel_constants,
     roughness,
@@ -464,22 +462,23 @@ def default_gold_grid(family, size=200):
     return out
 
 
-def _truth_on_grid(truth, grid):
-    try:
-        vals = np.asarray(truth(grid), dtype=float)
-        if vals.shape != grid.shape:
-            raise TypeError
-    except Exception:
-        vals = np.array([float(truth(t)) for t in grid], dtype=float)
-    return vals
+@lru_cache(maxsize=16)
+def _gold_table(family, nus):
+    """Candidate kernels (None for the uniform point) and their ISE weight
+    matrix for one (family, grid); built once and shared by every sample."""
+    kernels = tuple(None if nu == 0.0 else KernelSpec.from_nu(family, nu) for nu in nus)
+    return kernels, ise_weights(kernels)
 
 
 def select_gold(sample, truth, cfg, grid=None, eval_points=2048):
     """Oracle selection: the grid concentration whose density estimate has
     the smallest realized integrated squared error against the truth.
 
-    The error integral runs on a dense equispaced grid, where the periodic
-    trapezoid rule is spectrally accurate; ties go to the smaller nu.
+    The error is the periodic trapezoid rule on a dense equispaced grid,
+    as in grid_ise: computed for every candidate at once by discrete
+    Parseval from one table of kernel weights per (family, grid), or by
+    direct grid sums for the wrapped Epanechnikov.  Ties go to the smaller
+    nu.
     """
     if grid is None:
         nus = default_gold_grid(cfg.kernel_family)
@@ -487,40 +486,10 @@ def select_gold(sample, truth, cfg, grid=None, eval_points=2048):
         nus = np.sort(np.asarray(grid, dtype=float))  # ascending, for the tie rule
     if len(nus) == 0:
         raise ValueError("gold-standard grid is empty")
-    pts = default_grid(eval_points)
-    tv = _truth_on_grid(truth, pts)
-    # nu = 0 means the uniform density; it carries no kernel spec
-    specs = [
-        None if nu == 0.0 else KernelSpec.from_nu(cfg.kernel_family, float(nu))
-        for nu in nus
-    ]
-    weight_arrays = [
-        None if s is None else derivative_weights(s, 0, DEFAULT_TRUNCATION)
-        for s in specs
-    ]
-    jmax = max((len(w) for w in weight_arrays if w is not None), default=0)
-    C, S = sample.trig_moments(jmax)
-    js = np.arange(1, jmax + 1, dtype=float)
-    cos_m = np.cos(pts[:, None] * js[None, :]) if jmax else np.empty((len(pts), 0))
-    sin_m = np.sin(pts[:, None] * js[None, :]) if jmax else np.empty((len(pts), 0))
-    step = 2.0 * np.pi / len(pts)
-    base = 1.0 / (2.0 * np.pi)
-    n = sample.n
-
-    best_idx = 0
-    best_ise = np.inf
-    for idx, w in enumerate(weight_arrays):
-        if w is None:
-            fhat = np.full(len(pts), base)
-        else:
-            J = len(w)
-            fhat = base + (cos_m[:, :J] @ (w * C[:J]) + sin_m[:, :J] @ (w * S[:J])) / (
-                np.pi * n
-            )
-        realized = step * float(np.sum((fhat - tv) ** 2))
-        if realized < best_ise:  # strict: ties keep the smaller nu
-            best_ise = realized
-            best_idx = idx
+    specs, weights = _gold_table(cfg.kernel_family, tuple(map(float, nus)))
+    ises = grid_ise(sample, specs, truth, eval_points, weights)
+    best_idx = int(np.argmin(ises))  # first minimum: ties keep the smaller nu
+    best_ise = float(ises[best_idx])
     spec = specs[best_idx]
     if spec is None:
         nu_star, h_star, conc = 0.0, UNIFORM_BANDWIDTH, None

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import i0
 
-from .estimators import CircularSample, default_grid, kde_values
+from .estimators import CircularSample, grid_ise
 from .kernels import KernelSpec
 from .selectors import (
+    _SOFT_ERRORS,
     SelectorConfig,
     select_dpi,
     select_gold,
@@ -135,15 +136,14 @@ def builtin_models():
 
 def realized_ise(sample, family, nu, density, points=2048):
     """Integrated squared error of the KDE at concentration nu against the
-    known density, via the periodic trapezoid rule on an equispaced grid
-    (spectrally accurate for these smooth integrands)."""
-    pts = default_grid(points)
-    if nu == 0.0:
-        fhat = np.full(points, 1.0 / (2.0 * np.pi))
-    else:
-        fhat = kde_values(sample, KernelSpec.from_nu(family, nu), pts)
-    tv = np.asarray(density(pts), dtype=float)
-    return (2.0 * np.pi / points) * float(np.sum((fhat - tv) ** 2))
+    known density, by the periodic trapezoid rule on an equispaced grid
+    (spectrally accurate for these smooth integrands).
+
+    One row of grid_ise: computed exactly by discrete Parseval from the
+    kernel weights and the sample moments, or by the direct grid sum for
+    the wrapped Epanechnikov."""
+    kernel = None if nu == 0.0 else KernelSpec.from_nu(family, nu)
+    return float(grid_ise(sample, [kernel], density, points)[0])
 
 
 def run_monte_carlo(model, selectors, n, replicates, seed=0, nu_grid=None, cfg=None):
@@ -151,8 +151,9 @@ def run_monte_carlo(model, selectors, n, replicates, seed=0, nu_grid=None, cfg=N
     ``replicates`` fresh samples of size n from the model.
 
     Per-replicate RNG streams are seeded by (seed, replicate index).
-    Selector fallbacks are counted; a hard selector error is counted and
-    that replicate is excluded from the selector's average.
+    Selector fallbacks are counted; a numeric selector error (a soft error
+    or ValueError) is counted and that replicate is excluded from the
+    selector's average.  Any other exception propagates.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be positive, got {replicates}")
@@ -178,7 +179,7 @@ def run_monte_carlo(model, selectors, n, replicates, seed=0, nu_grid=None, cfg=N
                 else:
                     sel = _SELECTOR_FNS[name](sample, cfg)
                 value = realized_ise(sample, cfg.kernel_family, sel.nu, model.density)
-            except Exception:
+            except _SOFT_ERRORS + (ValueError,):
                 errors[name] += 1
                 continue
             if sel.fallback_uniform:

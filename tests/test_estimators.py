@@ -18,12 +18,15 @@ from circkde.estimators import (
     DensityGrid,
     FunctionalEstimate,
     default_grid,
+    grid_ise,
     ise,
+    ise_weights,
     kde,
     kde_deriv,
+    kde_values,
     psi_hat,
 )
-from circkde.kernels import KernelSpec, kernel_value
+from circkde.kernels import KernelFamily, KernelSpec, kernel_value
 
 
 def sample_of(*angles):
@@ -321,6 +324,86 @@ class TestIse:
         est = kde(s, KernelSpec.vonmises(kappa=1.5))
         truth = lambda t: np.exp(np.cos(t)) / (2.0 * np.pi * 1.2660658777520084)
         assert ise(est, truth) >= 0.0
+
+
+def direct_trapezoid_ise(sample, kernel, truth, points):
+    """Reference: the estimate summed directly at every grid point, then
+    the periodic trapezoid rule."""
+    grid = default_grid(points)
+    if kernel is None:
+        fhat = np.full(points, 1.0 / (2.0 * np.pi))
+    else:
+        fhat = kde_values(sample, kernel, grid)
+    tv = np.asarray(truth(grid), dtype=float)
+    return (2.0 * np.pi / points) * float(np.sum((fhat - tv) ** 2))
+
+
+def vm2_truth(t):
+    return np.exp(2.0 * np.cos(np.asarray(t) - 0.5)) / (2.0 * np.pi * 2.279585302336067)
+
+
+class TestGridIse:
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            KernelSpec.vonmises(kappa=3.0),
+            KernelSpec.vonmises(kappa=400.0),
+            KernelSpec.wrapped_normal(0.8),
+            KernelSpec.wrapped_cauchy(0.7),
+            KernelSpec.cardioid(0.3),
+            None,
+        ],
+        ids=["vm3", "vm400", "wn", "wc", "cardioid", "uniform"],
+    )
+    @pytest.mark.parametrize("points", [2048, 501])
+    def test_parseval_matches_direct_trapezoid(self, kernel, points):
+        s = rng_sample(70, seed=5)
+        fast = grid_ise(s, [kernel], vm2_truth, points)[0]
+        assert fast == pytest.approx(direct_trapezoid_ise(s, kernel, vm2_truth, points), rel=1e-10)
+
+    @pytest.mark.parametrize("family", [KernelFamily.VONMISES, KernelFamily.WRAPPEDNORMAL])
+    def test_fold_reproduces_aliased_grid_sum(self, family):
+        # J > points / 2: frequencies past the half spectrum alias on the grid
+        s = rng_sample(40, seed=11)
+        kernel = KernelSpec.from_nu(family, 0.9995)
+        assert len(ise_weights([kernel])[0]) > 32
+        fast = grid_ise(s, [kernel], vm2_truth, 64)[0]
+        assert fast == pytest.approx(direct_trapezoid_ise(s, kernel, vm2_truth, 64), rel=1e-12)
+
+    def test_rows_match_single_kernels(self):
+        s = rng_sample(50, seed=2)
+        kernels = [None, KernelSpec.vonmises(kappa=1.0), KernelSpec.vonmises(kappa=60.0)]
+        weights = ise_weights(kernels)
+        assert weights.shape[0] == 3 and not weights[0].any()
+        rows = grid_ise(s, kernels, vm2_truth, 2048, weights)
+        for kernel, value in zip(kernels, rows):
+            assert value == pytest.approx(grid_ise(s, [kernel], vm2_truth)[0], rel=1e-13)
+
+    def test_uniform_against_uniform_is_exactly_zero(self):
+        s = rng_sample(30, seed=4)
+        flat = lambda t: np.full(np.shape(t), 1.0 / (2.0 * np.pi))
+        assert grid_ise(s, [None], flat)[0] == 0.0
+
+    def test_wrapped_epanechnikov_sums_directly(self):
+        s = rng_sample(30, seed=6)
+        kernel = KernelSpec.wrapped_epanechnikov(lam=0.8)
+        assert ise_weights([kernel, None]) is None
+        value = grid_ise(s, [kernel], vm2_truth)[0]
+        assert value == direct_trapezoid_ise(s, kernel, vm2_truth, 2048)
+
+    def test_scalar_truth_callable(self):
+        s = rng_sample(30, seed=8)
+        kernel = KernelSpec.vonmises(kappa=4.0)
+        a = grid_ise(s, [kernel], vm2_truth)[0]
+        b = grid_ise(s, [kernel], lambda t: float(vm2_truth(float(t))))[0]
+        assert a == pytest.approx(b, rel=1e-14)
+
+    def test_truth_errors_propagate(self):
+        def broken(t):
+            raise RuntimeError("density bug")
+
+        with pytest.raises(RuntimeError):
+            grid_ise(rng_sample(10), [None], broken)
 
 
 class TestSmoothnessIdentity:

@@ -604,6 +604,22 @@ class TestGoldStandard:
         assert grid[-1] < 1.0
         assert len(grid) > 150
 
+    def test_custom_grid_matches_direct_trapezoid_argmin(self):
+        s = vm_sample(7, n=90)
+        truth = vm_truth(0.4, 3.0)
+        grid = np.array([0.0, 0.2, 0.5, 0.7, 0.8, 0.85, 0.9, 0.93, 0.96, 0.98, 0.995])
+        sel = select_gold(s, truth, SelectorConfig(), grid=grid)
+        direct = [_fast_ise(s, float(nu), truth) for nu in grid]
+        assert sel.nu == pytest.approx(grid[int(np.argmin(direct))], rel=1e-12)
+        assert sel.trace[0].psi == pytest.approx(min(direct), rel=1e-10)
+
+    def test_truth_errors_propagate(self):
+        def broken(t):
+            raise RuntimeError("density bug")
+
+        with pytest.raises(RuntimeError):
+            select_gold(vm_sample(0, n=30), broken, SelectorConfig(), grid=[0.5, 0.9])
+
     def test_scalar_truth_callable_accepted(self):
         s = vm_sample(4, n=60)
         truth_vec = vm_truth(0.0, 2.0)

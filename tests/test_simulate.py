@@ -12,8 +12,10 @@ from scipy.special import i0
 
 from circkde.estimators import CircularSample, ise, kde
 from circkde.kernels import KernelFamily, KernelSpec
-from circkde.selectors import SelectorConfig, select_gold, select_rt
+from circkde import simulate
+from circkde.selectors import SelectorConfig, default_gold_grid, select_gold, select_rt
 from circkde.simulate import (
+    ModelSpec,
     SimResult,
     builtin_models,
     emit_table,
@@ -22,6 +24,7 @@ from circkde.simulate import (
 )
 
 VM = KernelFamily.VONMISES
+WE = KernelFamily.WRAPPEDEPANECHNIKOV
 
 
 def model_by_name(name):
@@ -185,6 +188,58 @@ class TestRunMonteCarlo:
             vals.append(realized_ise(s, VM, 0.55, m.density))
         assert gs.selector == "gs"
         assert gs.mean_ise == float(np.mean(vals))
+
+    def test_wrapped_epanechnikov_gold_is_brute_force_argmin(self):
+        # the kernel's coefficient series never converges; the oracle must
+        # score its candidates by direct grid sums instead of failing
+        m = model_by_name("VM2")
+        cfg = SelectorConfig(kernel_family=WE)
+        grid = default_gold_grid(WE)[::8]
+        results = run_monte_carlo(m, ["rt"], n=40, replicates=1, seed=2, nu_grid=grid, cfg=cfg)
+        gs = next(r for r in results if r.selector == "gs")
+        assert [r.error_count for r in results] == [0, 0]
+        rng = np.random.default_rng(np.random.SeedSequence([2, 0]))
+        s = m.sampler(rng, 40)
+        brute = [realized_ise(s, WE, float(nu), m.density) for nu in grid]
+        assert gs.mean_ise == min(brute)
+        sel = select_gold(s, m.density, cfg, grid=grid)
+        assert sel.nu == pytest.approx(grid[int(np.argmin(brute))], rel=1e-12)
+
+    def test_wrapped_epanechnikov_default_gold_grid(self):
+        m = model_by_name("VM2")
+        s = m.sampler(np.random.default_rng(4), 30)
+        sel = select_gold(s, m.density, SelectorConfig(kernel_family=WE))
+        grid = default_gold_grid(WE)
+        brute = [realized_ise(s, WE, float(nu), m.density) for nu in grid]
+        assert sel.nu == pytest.approx(grid[int(np.argmin(brute))], rel=1e-12)
+        assert sel.trace[0].psi == min(brute)
+
+    def test_density_errors_propagate(self):
+        m = model_by_name("VM2")
+
+        def broken(theta):
+            raise RuntimeError("density bug")
+
+        model = ModelSpec(name="BROKEN", density=broken, sampler=m.sampler)
+        with pytest.raises(RuntimeError):
+            run_monte_carlo(model, ["rt"], n=30, replicates=1)
+
+    def test_selector_bugs_propagate_numeric_errors_counted(self, monkeypatch):
+        m = model_by_name("VM2")
+
+        def buggy(sample, cfg):
+            raise TypeError("selector bug")
+
+        def degenerate(sample, cfg):
+            raise ValueError("bad numbers")
+
+        monkeypatch.setitem(simulate._SELECTOR_FNS, "rt", buggy)
+        with pytest.raises(TypeError):
+            run_monte_carlo(m, ["rt"], n=30, replicates=1)
+        monkeypatch.setitem(simulate._SELECTOR_FNS, "rt", degenerate)
+        results = run_monte_carlo(m, ["rt"], n=30, replicates=2)
+        rt = next(r for r in results if r.selector == "rt")
+        assert rt.error_count == 2 and math.isnan(rt.mean_ise)
 
     def test_single_replicate_has_zero_sd(self):
         m = model_by_name("VM2")
