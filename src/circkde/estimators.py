@@ -171,20 +171,24 @@ def _direct_sum(sample, spec, deriv_order, thetas, chunk=2048):
     return out
 
 
-def _spectral_sum(sample, spec, deriv_order, thetas, trunc):
-    """Same mean via the kernel's cosine series and the sample's moments."""
-    weights = derivative_weights(spec, deriv_order, trunc)
-    J = len(weights)
+def _spectral_sum(sample, weights, deriv_order, thetas):
+    """Same mean via the kernel's cosine series and the sample's moments.
+
+    ``weights`` is one kernel's (J,) derivative_weights, giving one value
+    per angle, or a zero-padded (G, J) matrix with one kernel per row,
+    giving a (len(thetas), G) array.  The cos/sin basis is built in blocks
+    of angles, so its memory stays bounded for any number of angles.
+    """
+    J = weights.shape[-1]
     C, S = sample.trig_moments(J)
     base = 1.0 / (2.0 * np.pi) if deriv_order == 0 else 0.0
     phase = deriv_order * np.pi / 2.0
     js = np.arange(1, J + 1, dtype=float)
-    out = np.full(len(thetas), base)
+    wc, ws = (weights * C).T, (weights * S).T
+    out = np.full((len(thetas),) + weights.shape[:-1], base)
     for lo in range(0, len(thetas), 4096):
         block = thetas[lo : lo + 4096, None] * js[None, :] + phase
-        out[lo : lo + 4096] += (
-            np.cos(block) @ (weights * C) + np.sin(block) @ (weights * S)
-        ) / (np.pi * sample.n)
+        out[lo : lo + 4096] += (np.cos(block) @ wc + np.sin(block) @ ws) / (np.pi * sample.n)
     return out
 
 
@@ -202,7 +206,8 @@ def kde_values(sample, kernel, points, deriv_order=0, trunc=None):
         direct = kernel.nu == 0.0 or kernel.family == KernelFamily.WRAPPEDEPANECHNIKOV
     if direct:
         return _direct_sum(sample, kernel, deriv_order, points)
-    return _spectral_sum(sample, kernel, deriv_order, points, trunc)
+    weights = derivative_weights(kernel, deriv_order, trunc)
+    return _spectral_sum(sample, weights, deriv_order, points)
 
 
 def kde(sample, kernel, thetas=None, trunc=None):

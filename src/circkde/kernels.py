@@ -242,16 +242,21 @@ def _series_weights(spec, growth, power, trunc):
         js = np.arange(j0, hi + 1)
         alphas = _alpha_block(spec, js)
         c = js.astype(float) ** growth * alphas**power
-        for idx in range(len(js)):
-            v = c[idx]
-            total += abs(v)
-            out.append(v)
-            if abs(v) <= trunc.rel_tol * max(total, 1e-300):
-                consec += 1
-                if consec >= 3:
-                    return np.array(out)
-            else:
-                consec = 0
+        # running sums in the same left-to-right order as term-by-term
+        # accumulation, so J does not depend on the block sizes
+        running = np.cumsum(np.concatenate(([total], np.abs(c))))[1:]
+        small = np.abs(c) <= trunc.rel_tol * np.maximum(running, 1e-300)
+        # length of the run of small terms ending at each index, counting
+        # the run carried over from the previous block
+        idx = np.arange(len(c))
+        last_big = np.maximum.accumulate(np.where(small, -1, idx))
+        runs = idx - last_big + np.where(last_big < 0, consec, 0)
+        stop = np.flatnonzero(runs >= 3)
+        if stop.size:
+            out.append(c[: stop[0] + 1])
+            return np.concatenate(out)
+        out.append(c)
+        total, consec = float(running[-1]), int(runs[-1])
         j0 = hi + 1
         block = min(block * 2, 4096)
     raise ToleranceError(

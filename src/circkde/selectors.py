@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BracketingError, FitError, ToleranceError, UnsupportedKernelError
-from .estimators import grid_ise, ise_weights, kde_values, psi_hat
+from .estimators import _spectral_sum, grid_ise, ise_weights, kde_values, psi_hat
 from .kernels import (
     UNIFORM_BANDWIDTH,
     UNIFORM_FALLBACK,
@@ -378,37 +378,75 @@ def _first_root(g, lo, hi, tol, trace):
     return find_root(g, float(a), float(b), tol=tol)
 
 
-def _loo_objective(sample, spec):
-    """Leave-one-out log-likelihood at a kernel spec; -inf if any
-    leave-one-out density is nonpositive."""
+def _lcv_candidates(family, hs, exact):
+    """Kernels at the given bandwidths (None at or beyond the uniform
+    bandwidth), their ise_weights matrix (None for a family summed
+    directly) and their peak values K(0)."""
+    specs = []
+    for h in hs:
+        spec = None
+        if h < UNIFORM_BANDWIDTH * (1.0 - 1e-12):
+            spec = concentration_from_bandwidth(family, float(h), exact=exact)
+        specs.append(None if is_uniform_fallback(spec) else spec)
+    peaks = np.array([1.0 / (2.0 * np.pi) if s is None else roughness(s, 0, 1) for s in specs])
+    peaks.flags.writeable = False
+    return tuple(specs), ise_weights(specs), peaks
+
+
+@lru_cache(maxsize=16)
+def _lcv_table(family, exact):
+    """The 64-point LCV bandwidth grid and its candidates as in
+    _lcv_candidates; built once per (family, inversion) and shared by
+    every sample."""
+    hs = np.geomspace(1e-4, UNIFORM_BANDWIDTH, 64)
+    hs.flags.writeable = False
+    return (hs,) + _lcv_candidates(family, hs, exact)
+
+
+def _lcv_objectives(sample, specs, weights, peaks):
+    """Leave-one-out log-likelihood of each candidate kernel (None: the
+    uniform density); -inf where a leave-one-out density is nonpositive
+    or not finite.
+
+    The full estimate at the sample points comes from the kernels' cosine
+    series on the sample's moments, for every candidate at once; without
+    a weight matrix (the wrapped Epanechnikov) each kernel is summed
+    directly.  Deleting observation i leaves (n f(x_i) - K(0)) / (n - 1).
+    """
     n = sample.n
-    vals = kde_values(sample, spec, sample.angles)
-    peak = roughness(spec, 0, 1)
-    loo = (n * vals - peak) / (n - 1)
-    if np.any(loo <= 0.0) or not np.all(np.isfinite(loo)):
-        return -np.inf
-    return float(np.sum(np.log(loo)))
+    if weights is None:
+        uniform = np.full(n, 1.0 / (2.0 * np.pi))
+        full = np.array([uniform if s is None else kde_values(sample, s, sample.angles) for s in specs])
+    else:
+        full = _spectral_sum(sample, weights, 0, sample.angles).T
+    loo = (n * full - peaks[:, None]) / (n - 1)
+    bad = np.any(loo <= 0.0, axis=1) | ~np.all(np.isfinite(loo), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        objs = np.sum(np.log(loo), axis=1)
+    objs[bad] = -np.inf
+    objs[np.array([s is None for s in specs])] = -n * math.log(2.0 * np.pi)
+    return objs
 
 
 def select_lcv(sample, cfg):
-    """Likelihood cross-validation over the bandwidth scale."""
+    """Likelihood cross-validation over the bandwidth scale.
+
+    Scores 64 log-spaced bandwidths from 1e-4 to the uniform value, then
+    takes one parabolic step in log h around the best.  The candidate
+    kernels and their weight matrix are built once per (family,
+    inversion) and shared by every sample; the leave-one-out densities of
+    all candidates come from one pass over the sample's trigonometric
+    moments.  The wrapped Epanechnikov, whose cosine series never meets
+    the truncation tolerance, sums its kernels directly.
+    """
     if sample.n < 2:
         raise ValueError("cross-validation needs at least 2 observations")
     trace = []
-
-    def objective_of_h(h):
-        if h >= UNIFORM_BANDWIDTH * (1.0 - 1e-12):
-            return -sample.n * math.log(2.0 * np.pi)
-        spec = concentration_from_bandwidth(
-            cfg.kernel_family, h, exact=cfg.exact_inversion
-        )
-        if is_uniform_fallback(spec):
-            return -sample.n * math.log(2.0 * np.pi)
-        return _loo_objective(sample, spec)
+    family, exact = cfg.kernel_family, cfg.exact_inversion
 
     try:
-        hs = np.geomspace(1e-4, UNIFORM_BANDWIDTH, 64)
-        objs = np.array([objective_of_h(h) for h in hs])
+        hs, specs, weights, peaks = _lcv_table(family, exact)
+        objs = _lcv_objectives(sample, specs, weights, peaks)
         best = int(np.argmax(objs))
         if not np.isfinite(objs[best]):
             return _fallback(SelectorMethod.LCV, trace, "objective-degenerate")
@@ -427,7 +465,8 @@ def select_lcv(sample, cfg):
                 if d2 != 0.0:
                     u_star = float(np.clip(ub - 0.5 * d1 / d2, ua, uc))
         h_star = math.exp(u_star)
-        trace.append(TraceEntry(label="lcv-objective", psi=float(objective_of_h(h_star))))
+        obj_star = _lcv_objectives(sample, *_lcv_candidates(family, [h_star], exact))[0]
+        trace.append(TraceEntry(label="lcv-objective", psi=float(obj_star)))
         if h_star >= UNIFORM_BANDWIDTH * (1.0 - 1e-12):
             return SmoothingSelection(
                 nu=0.0,

@@ -34,6 +34,7 @@ from circkde.kernels import (
     roughness,
     wrap_angle,
 )
+from circkde.kernels import _alpha_block, _series_weights
 
 ALL_FAMILIES = list(KernelFamily)
 
@@ -560,6 +561,67 @@ class TestTruncation:
         spec = KernelSpec.wrapped_epanechnikov(lam=2.0)
         target = circle_quad(lambda t: t * t * kernel_value(spec, t))
         assert bandwidth(spec) == pytest.approx(target, abs=1e-9)
+
+
+def _series_weights_loop(spec, growth, power, trunc):
+    """Frozen term-by-term tail rule: the reference for the vectorized one."""
+    out = []
+    total = 0.0
+    consec = 0
+    j0 = 1
+    block = 64
+    while j0 <= trunc.max_terms:
+        hi = min(j0 + block - 1, trunc.max_terms)
+        js = np.arange(j0, hi + 1)
+        alphas = _alpha_block(spec, js)
+        c = js.astype(float) ** growth * alphas**power
+        for idx in range(len(js)):
+            v = c[idx]
+            total += abs(v)
+            out.append(v)
+            if abs(v) <= trunc.rel_tol * max(total, 1e-300):
+                consec += 1
+                if consec >= 3:
+                    return np.array(out)
+            else:
+                consec = 0
+        j0 = hi + 1
+        block = min(block * 2, 4096)
+    raise ToleranceError("budget exhausted")
+
+
+def _tail_rule_specs(family):
+    nus = [0.0, 0.05, 0.2, 0.35, 0.5, 0.65, 0.655, 0.8, 0.9, 0.97, 0.995, 0.9995, 0.99999]
+    if family == KernelFamily.CARDIOID:
+        nus = [0.0, 0.1, 0.25, 0.4, 0.49]
+    if family == KernelFamily.WRAPPEDEPANECHNIKOV:
+        nus = [3.0 / np.pi**2, 0.35, 0.5, 0.8, 0.97, 0.9995]
+    return [KernelSpec.from_nu(family, nu) for nu in nus]
+
+
+class TestSeriesTailRule:
+    # wrapped Cauchy at nu = 0.65 and 0.655 stops on a run of small terms
+    # that straddles the first block boundary (j = 64 | 65)
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+    def test_matches_term_by_term_loop(self, family):
+        truncs = (DEFAULT_TRUNCATION, FourierTruncation(rel_tol=1e-6, max_terms=100))
+        errors = 0
+        for spec in _tail_rule_specs(family):
+            for growth in (-2, 0, 1, 2, 4, 6, 8):
+                for power in (1, 2):
+                    for trunc in truncs:
+                        try:
+                            expect = _series_weights_loop(spec, growth, power, trunc)
+                        except ToleranceError:
+                            errors += 1
+                            with pytest.raises(ToleranceError):
+                                _series_weights.__wrapped__(spec, growth, power, trunc)
+                            continue
+                        got = _series_weights.__wrapped__(spec, growth, power, trunc)
+                        assert len(got) == len(expect)
+                        assert np.array_equal(got, expect), (spec, growth, power, trunc)
+        if family in (KernelFamily.WRAPPEDCAUCHY, KernelFamily.WRAPPEDEPANECHNIKOV):
+            assert errors > 0  # the budget-exhaustion path is exercised
 
 
 class TestWrapAngle:

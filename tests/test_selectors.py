@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.special import i0e
 
 from circkde.errors import UnsupportedKernelError
 from circkde.estimators import CircularSample, ise, kde, kde_values, psi_hat
@@ -39,6 +40,8 @@ from circkde.selectors import (
     select_rt,
     select_ste,
 )
+from circkde.selectors import _lcv_objectives, _lcv_table
+from circkde.simulate import builtin_models
 
 VM = KernelFamily.VONMISES
 WN = KernelFamily.WRAPPEDNORMAL
@@ -533,6 +536,188 @@ class TestLikelihoodCrossValidation:
             nus_gs.append(select_gold(s, truth, cfg).nu)
         lo, hi = np.percentile(nus_gs, [5, 95])
         assert lo <= np.median(nus_lcv) <= hi
+
+
+def _direct_density(sample, spec, points):
+    """Kernel density at the points from closed forms, without any cosine
+    series: the von Mises exponential form, or Gaussian translates for the
+    wrapped normal."""
+    d = points[:, None] - sample.angles[None, :]
+    if spec.family == VM:
+        vals = np.exp(spec.kappa * (np.cos(d) - 1.0)) / (2 * np.pi * i0e(spec.kappa))
+    else:
+        sigma = math.sqrt(-2.0 * math.log(spec.nu))
+        d = (d + np.pi) % (2 * np.pi) - np.pi
+        vals = sum(
+            np.exp(-0.5 * ((d + 2 * np.pi * m) / sigma) ** 2) for m in range(-4, 5)
+        ) / (sigma * math.sqrt(2 * np.pi))
+    return vals.mean(axis=1)
+
+
+def _direct_loo(sample, spec):
+    n = sample.n
+    full = _direct_density(sample, spec, sample.angles)
+    peak = _direct_density(CircularSample.from_data(np.zeros(1)), spec, np.zeros(1))[0]
+    return (n * full - peak) / (n - 1), peak
+
+
+_FROZEN_SPECS = {}
+
+
+def _frozen_lcv(sample, cfg):
+    """The grid search and parabolic step of select_lcv as they were before
+    the shared spectral table: one direct leave-one-out sum per candidate.
+    Candidate kernels are memoized per (family, inversion, h)."""
+    n = sample.n
+
+    def objective_of_h(h):
+        key = (cfg.kernel_family, cfg.exact_inversion, float(h))
+        if key not in _FROZEN_SPECS:
+            spec = None
+            if h < UNIFORM_BANDWIDTH * (1.0 - 1e-12):
+                spec = concentration_from_bandwidth(
+                    cfg.kernel_family, h, exact=cfg.exact_inversion
+                )
+            _FROZEN_SPECS[key] = None if is_uniform_fallback(spec) else spec
+        spec = _FROZEN_SPECS[key]
+        if spec is None:
+            return -n * math.log(2.0 * np.pi)
+        loo = (n * kde_values(sample, spec, sample.angles) - roughness(spec, 0, 1)) / (n - 1)
+        if np.any(loo <= 0.0) or not np.all(np.isfinite(loo)):
+            return -np.inf
+        return float(np.sum(np.log(loo)))
+
+    hs = np.geomspace(1e-4, UNIFORM_BANDWIDTH, 64)
+    objs = np.array([objective_of_h(h) for h in hs])
+    best = int(np.argmax(objs))
+    us = np.log(hs)
+    u_star = float(us[best])
+    if 1 <= best <= len(hs) - 2:
+        fa, fb, fc = objs[best - 1], objs[best], objs[best + 1]
+        if np.isfinite(fa) and np.isfinite(fc) and fb >= fa and fb >= fc:
+            ua, ub, uc = us[best - 1], us[best], us[best + 1]
+            d1 = (ub - ua) ** 2 * (fb - fc) - (ub - uc) ** 2 * (fb - fa)
+            d2 = (ub - ua) * (fb - fc) - (ub - uc) * (fb - fa)
+            if d2 != 0.0:
+                u_star = float(np.clip(ub - 0.5 * d1 / d2, ua, uc))
+    h_star = math.exp(u_star)
+    obj = objective_of_h(h_star)
+    if h_star >= UNIFORM_BANDWIDTH * (1.0 - 1e-12):
+        return 0.0, False, obj
+    spec = concentration_from_bandwidth(cfg.kernel_family, h_star, exact=cfg.exact_inversion)
+    if is_uniform_fallback(spec):
+        return 0.0, True, obj
+    return spec.nu, False, obj
+
+
+def _zoo_samples(count, n=100):
+    models = builtin_models()
+    return [
+        models[k % len(models)].sampler(np.random.default_rng([k, 0]), n) for k in range(count)
+    ]
+
+
+SPECTRAL_LCV = [
+    SelectorConfig(),
+    SelectorConfig(exact_inversion=True),
+    SelectorConfig(kernel_family=WN),
+]
+
+
+class TestSpectralLcv:
+    @pytest.mark.parametrize(
+        "cfg", SPECTRAL_LCV, ids=["vm", "vm-exact", "wn"]
+    )
+    def test_table_objective_matches_direct_sums(self, cfg):
+        hs, specs, weights, peaks = _lcv_table(cfg.kernel_family, cfg.exact_inversion)
+        assert weights.shape[0] == len(hs) == len(specs) == 64
+        # the series sum carries an absolute rounding error of order
+        # 1e-13 K(0), so only candidates whose leave-one-out densities all
+        # stay above 1e-6 K(0) can match to 1e-9
+        checked = 0
+        for sample in _zoo_samples(10):
+            objs = _lcv_objectives(sample, specs, weights, peaks)
+            for g, spec in enumerate(specs):
+                if spec is None:
+                    assert objs[g] == -sample.n * math.log(2 * math.pi)
+                    continue
+                loo, peak = _direct_loo(sample, spec)
+                # the wrapped normal's K(0) is its cosine series, cut by
+                # the tail rule with a remainder near 1e-11 of the total
+                assert peaks[g] == pytest.approx(peak, rel=1e-10)
+                if np.all(loo >= 1e-6 * peak):
+                    assert objs[g] == pytest.approx(np.sum(np.log(loo)), rel=1e-9)
+                    checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize(
+        "cfg,count", zip(SPECTRAL_LCV, (50, 20, 20)), ids=["vm", "vm-exact", "wn"]
+    )
+    def test_selection_matches_frozen_grid_code(self, cfg, count):
+        for sample in _zoo_samples(count):
+            sel = select_lcv(sample, cfg)
+            nu, fallback, obj = _frozen_lcv(sample, cfg)
+            assert sel.nu == pytest.approx(nu, rel=1e-8)
+            assert sel.fallback_uniform == fallback
+            assert sel.trace[0].label == "lcv-objective"
+            assert sel.trace[0].psi == pytest.approx(obj, rel=1e-8)
+
+    def test_wrapped_epanechnikov_sums_directly(self):
+        cfg = SelectorConfig(kernel_family=KernelFamily.WRAPPEDEPANECHNIKOV)
+        assert _lcv_table(cfg.kernel_family, False)[2] is None
+        for sample in _zoo_samples(5):
+            sel = select_lcv(sample, cfg)
+            assert (sel.nu, sel.fallback_uniform, sel.trace[0].psi) == _frozen_lcv(sample, cfg)
+
+    def test_table_is_shared(self):
+        assert _lcv_table(VM, False) is _lcv_table(VM, False)
+        assert _lcv_table(VM, True) is not _lcv_table(VM, False)
+
+    def test_large_sample(self):
+        rng = np.random.default_rng(11)
+        sample = CircularSample.from_data(
+            np.concatenate([rng.vonmises(0.0, 8.0, 1000), rng.vonmises(np.pi, 8.0, 1000)])
+        )
+        hs, specs, weights, peaks = _lcv_table(VM, False)
+        objs = _lcv_objectives(sample, specs, weights, peaks)
+        best = int(np.argmax(objs))
+        assert 1 <= best <= 62
+        direct = {}
+        for g in sorted({best - 1, best, best + 1, *range(0, 64, 6)}):
+            if specs[g] is None:
+                continue
+            loo, peak = _direct_loo(sample, specs[g])
+            direct[g] = np.sum(np.log(loo)) if np.all(loo > 0) else -np.inf
+            if np.all(loo >= 1e-6 * peak):
+                assert objs[g] == pytest.approx(direct[g], rel=1e-9)
+        assert direct[best] == max(direct.values())
+        # the parabolic step through the direct objectives gives the same nu
+        us = np.log(hs[best - 1 : best + 2])
+        fa, fb, fc = direct[best - 1], direct[best], direct[best + 1]
+        d1 = (us[1] - us[0]) ** 2 * (fb - fc) - (us[1] - us[2]) ** 2 * (fb - fa)
+        d2 = (us[1] - us[0]) * (fb - fc) - (us[1] - us[2]) * (fb - fa)
+        h_star = math.exp(us[1] - 0.5 * d1 / d2)
+        assert select_lcv(sample, SelectorConfig()).nu == pytest.approx(
+            concentration_from_bandwidth(VM, h_star).nu, rel=1e-8
+        )
+
+    # nu at the smallest grid bandwidth h = 1e-4, taken from the code
+    # before the spectral table
+    @pytest.mark.parametrize(
+        "angles",
+        [[0.3, 0.3], [0.3, 0.301], [1.0] * 10],
+        ids=["two-identical", "two-close", "ten-identical"],
+    )
+    @pytest.mark.parametrize(
+        "cfg,nu",
+        zip(SPECTRAL_LCV, (0.9999499987498751, 0.9999500012514068, 0.9999499962495625)),
+        ids=["vm", "vm-exact", "wn"],
+    )
+    def test_degenerate_samples_pick_the_narrowest_kernel(self, angles, cfg, nu):
+        sel = select_lcv(CircularSample.from_data(np.array(angles)), cfg)
+        assert sel.nu == pytest.approx(nu, rel=1e-12)
+        assert not sel.fallback_uniform
+        assert [t.label for t in sel.trace] == ["lcv-objective", "final"]
 
 
 class TestGoldStandard:
