@@ -1,15 +1,17 @@
 """Time select_lcv on two source trees and write BENCH_lcv.json.
 
-    python3 scripts/bench_lcv.py --before OLD/src --after src --out BENCH_lcv.json
+    python3 scripts/bench_lcv.py --before OLD/src --after src
 
 Each tree is imported in its own interpreter with BLAS pinned to one
-thread.  For each n, select_lcv runs on one VM-MIX2 sample (von Mises
-kernel, default config): once cold (the candidate table is built) and
-then best of ``--repeats``.  ``--pool`` also runs select_lcv on every
-mc-zoo pool sample (five zoo models, replicate seeds 0-255, n = 100,
-drawn as run_monte_carlo draws them) and reports the worst relative nu
-deviation between the trees.  A "before" size whose cold call is
-projected past ``--budget-s`` from the smaller sizes is marked "not run".
+thread.  For each n in SIZES, select_lcv runs on one VM-MIX2 sample (von
+Mises kernel, default config): once cold (the candidate table is built)
+and then best of REPEATS.  It also runs on every mc-zoo pool sample (five
+zoo models, replicate seeds 0-255, n = 100, drawn as run_monte_carlo draws
+them), and the report gives the worst relative nu deviation between the
+trees.  A "before" size whose cold call, projected as O(n^2) from the
+last size timed, would pass BUDGET_S is marked "not run", as are the
+sizes above it.  The report is written to BENCH_lcv.json at the
+repository root.
 """
 
 import argparse
@@ -19,6 +21,11 @@ import platform
 import subprocess
 import sys
 import time
+
+SIZES = (100, 1000, 10000, 100000)
+REPEATS = 3
+BUDGET_S = 600.0
+OUT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_lcv.json")
 
 _CHILD = r"""
 import json, sys, time
@@ -83,26 +90,20 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", required=True, help="src directory of the old code")
     ap.add_argument("--after", required=True, help="src directory of the new code")
-    ap.add_argument("--sizes", type=int, nargs="+", default=[100, 1000, 10000])
-    ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--budget-s", type=float, default=600.0)
-    ap.add_argument("--pool", action="store_true")
-    ap.add_argument("--out", default="BENCH_lcv.json")
     opts = ap.parse_args(argv)
 
-    after = _run(opts.after, opts.sizes, opts.repeats, opts.pool)
-    before = {"times": {}, "nu": {}, "pool": []}
-    for n in opts.sizes:
+    after = _run(opts.after, SIZES, REPEATS, True)
+    before = {"times": {}, "nu": {}, "pool": _run(opts.before, [], 1, True)["pool"]}
+    last = None  # (n, cold seconds) of the largest "before" size timed
+    for n in SIZES:
         # select_lcv costs O(n^2) per candidate before the change
-        done = sorted(int(k) for k in before["times"])
-        if done and before["times"][str(done[-1])]["cold_s"] * (n / done[-1]) ** 2 > opts.budget_s:
+        if last is not None and last[1] * (n / last[0]) ** 2 > BUDGET_S:
             before["times"][str(n)] = "not run"
             continue
-        part = _run(opts.before, [n], opts.repeats if n < 10000 else 1, False)
+        part = _run(opts.before, [n], REPEATS if n < 10000 else 1, False)
         before["times"].update(part["times"])
         before["nu"].update(part["nu"])
-    if opts.pool:
-        before["pool"] = _run(opts.before, [], 1, True)["pool"]
+        last = (n, part["times"][str(n)]["cold_s"])
 
     devs = [_rel(before["nu"][k], after["nu"][k]) for k in before["nu"]]
     devs += [_rel(a, b) for a, b in zip(before["pool"], after["pool"])]
@@ -123,7 +124,7 @@ def main(argv=None):
         "worst_rel_nu_deviation": max(devs, default=0.0),
         "date": time.strftime("%Y-%m-%d"),
     }
-    with open(opts.out, "w") as fh:
+    with open(OUT, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     print(json.dumps(report, indent=2))

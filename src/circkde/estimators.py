@@ -210,6 +210,17 @@ def kde_values(sample, kernel, points, deriv_order=0, trunc=None):
     return _spectral_sum(sample, weights, deriv_order, points)
 
 
+def _kde_rows(sample, kernels, points, weights=None):
+    """Density estimates at the given angles, one row per kernel (None:
+    the uniform density): from the kernels' cosine series in one pass when
+    ``weights`` holds their ise_weights matrix, otherwise kernel by kernel
+    through kde_values."""
+    if weights is not None:
+        return _spectral_sum(sample, weights, 0, points).T
+    uniform = np.full(len(points), 1.0 / (2.0 * np.pi))
+    return np.array([uniform if k is None else kde_values(sample, k, points) for k in kernels])
+
+
 def kde(sample, kernel, thetas=None, trunc=None):
     """Kernel density estimate: the average of kernels centered at the
     observations, evaluated over a grid (default 512 equispaced points)."""
@@ -379,11 +390,5 @@ def grid_ise(sample, kernels, truth, points=2048, weights=None):
         weights = ise_weights(kernels)
     if weights is not None:
         return _parseval_ise(sample, weights, tv)
-    out = np.empty(len(kernels))
-    for g, kernel in enumerate(kernels):
-        if kernel is None:
-            fhat = np.full(points, 1.0 / (2.0 * np.pi))
-        else:
-            fhat = kde_values(sample, kernel, grid)
-        out[g] = (2.0 * np.pi / points) * float(np.sum((fhat - tv) ** 2))
-    return out
+    fhat = _kde_rows(sample, kernels, grid)
+    return (2.0 * np.pi / points) * np.sum((fhat - tv) ** 2, axis=1)

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BracketingError, FitError, ToleranceError, UnsupportedKernelError
-from .estimators import _spectral_sum, grid_ise, ise_weights, kde_values, psi_hat
+from .estimators import _kde_rows, grid_ise, ise_weights, kde_values, psi_hat
 from .kernels import (
     UNIFORM_BANDWIDTH,
     UNIFORM_FALLBACK,
@@ -403,6 +403,53 @@ def _lcv_table(family, exact):
     return (hs,) + _lcv_candidates(family, hs, exact)
 
 
+def _log_likelihood(loo):
+    """Sum of the logs of each row of leave-one-out densities; -inf where
+    one is nonpositive or not finite."""
+    bad = np.any(loo <= 0.0, axis=-1) | ~np.all(np.isfinite(loo), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        objs = np.sum(np.log(loo), axis=-1)
+    return np.where(bad, -np.inf, objs)
+
+
+# The cosine series at the sample points is accurate to about 1e-12 K(0)
+# in absolute terms (zoo samples and n = 2000 mixtures), so leave-one-out
+# densities below this fraction of K(0) are summed directly where they
+# can matter; above it their relative error is at most about 1e-6.
+_LCV_FLOOR = 1e-6
+
+
+def _rescore_floor(sample, specs, peaks, loo, objs):
+    """Recompute by direct kernel sums the leave-one-out densities that
+    the series puts below _LCV_FLOOR K(0), in every candidate that could
+    hold the maximum and in the two beside the maximum.  Updates loo and
+    objs in place."""
+    n = sample.n
+    floor = ~(loo >= _LCV_FLOOR * peaks[:, None])
+    pending = np.any(floor, axis=1)
+    if not pending.any():
+        return
+
+    def rescore(g):
+        idx = np.flatnonzero(floor[g])
+        loo[g, idx] = (n * kde_values(sample, specs[g], sample.angles[idx]) - peaks[g]) / (n - 1)
+        objs[g] = _log_likelihood(loo[g])
+        pending[g] = False
+
+    # a candidate cannot reach the best clean objective if it stays below
+    # it with its small values raised to twice the floor and the others
+    # raised by the series' relative error
+    best = np.max(objs[~pending], initial=-np.inf)
+    raised = np.fmax(loo, 2.0 * _LCV_FLOOR * peaks[:, None])
+    caps = np.sum(np.log(raised), axis=1) + 1e-6 * n
+    for g in np.flatnonzero(pending & (caps >= best)):
+        rescore(g)
+    top = int(np.argmax(objs))
+    for g in (top - 1, top + 1):
+        if 0 <= g < len(objs) and pending[g]:
+            rescore(g)
+
+
 def _lcv_objectives(sample, specs, weights, peaks):
     """Leave-one-out log-likelihood of each candidate kernel (None: the
     uniform density); -inf where a leave-one-out density is nonpositive
@@ -412,19 +459,15 @@ def _lcv_objectives(sample, specs, weights, peaks):
     series on the sample's moments, for every candidate at once; without
     a weight matrix (the wrapped Epanechnikov) each kernel is summed
     directly.  Deleting observation i leaves (n f(x_i) - K(0)) / (n - 1).
+    Values the series cannot resolve are summed directly where they can
+    change the maximum or its neighbours (_rescore_floor).
     """
     n = sample.n
-    if weights is None:
-        uniform = np.full(n, 1.0 / (2.0 * np.pi))
-        full = np.array([uniform if s is None else kde_values(sample, s, sample.angles) for s in specs])
-    else:
-        full = _spectral_sum(sample, weights, 0, sample.angles).T
-    loo = (n * full - peaks[:, None]) / (n - 1)
-    bad = np.any(loo <= 0.0, axis=1) | ~np.all(np.isfinite(loo), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        objs = np.sum(np.log(loo), axis=1)
-    objs[bad] = -np.inf
+    loo = (n * _kde_rows(sample, specs, sample.angles, weights) - peaks[:, None]) / (n - 1)
+    objs = _log_likelihood(loo)
     objs[np.array([s is None for s in specs])] = -n * math.log(2.0 * np.pi)
+    if weights is not None:
+        _rescore_floor(sample, specs, peaks, loo, objs)
     return objs
 
 
@@ -436,8 +479,10 @@ def select_lcv(sample, cfg):
     kernels and their weight matrix are built once per (family,
     inversion) and shared by every sample; the leave-one-out densities of
     all candidates come from one pass over the sample's trigonometric
-    moments.  The wrapped Epanechnikov, whose cosine series never meets
-    the truncation tolerance, sums its kernels directly.
+    moments, with values below the series' rounding floor summed directly
+    where they can change the maximum or its neighbours.  The wrapped
+    Epanechnikov, whose cosine series never meets the truncation
+    tolerance, sums its kernels directly.
     """
     if sample.n < 2:
         raise ValueError("cross-validation needs at least 2 observations")

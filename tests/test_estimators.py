@@ -15,6 +15,7 @@ from scipy.integrate import quad
 
 from circkde.estimators import (
     CircularSample,
+    _kde_rows,
     DensityGrid,
     FunctionalEstimate,
     default_grid,
@@ -390,6 +391,26 @@ class TestGridIse:
         assert ise_weights([kernel, None]) is None
         value = grid_ise(s, [kernel], vm2_truth)[0]
         assert value == direct_trapezoid_ise(s, kernel, vm2_truth, 2048)
+
+    def test_wrapped_epanechnikov_rows_match_single_kernels(self):
+        s = rng_sample(30, seed=6)
+        kernels = [KernelSpec.wrapped_epanechnikov(lam=lam) for lam in (0.3, 0.8)] + [None]
+        rows = grid_ise(s, kernels, vm2_truth)
+        for kernel, value in zip(kernels, rows):
+            assert value == pytest.approx(direct_trapezoid_ise(s, kernel, vm2_truth, 2048), rel=1e-13)
+
+    @pytest.mark.parametrize("family", [KernelFamily.VONMISES, KernelFamily.WRAPPEDEPANECHNIKOV])
+    def test_kde_rows_match_kde_values(self, family):
+        s = rng_sample(40, seed=9)
+        kernels = [None] + [KernelSpec.from_nu(family, nu) for nu in (0.5, 0.9, 0.99)]
+        points = np.linspace(-3.0, 3.0, 7)
+        weights = ise_weights(kernels)
+        assert (weights is None) == (family == KernelFamily.WRAPPEDEPANECHNIKOV)
+        rows = _kde_rows(s, kernels, points, weights)
+        assert rows.shape == (4, 7)
+        assert np.all(rows[0] == 1.0 / (2.0 * np.pi))
+        for kernel, row in zip(kernels[1:], rows[1:]):
+            np.testing.assert_allclose(row, kde_values(s, kernel, points), rtol=1e-12)
 
     def test_scalar_truth_callable(self):
         s = rng_sample(30, seed=8)

@@ -40,7 +40,7 @@ from circkde.selectors import (
     select_rt,
     select_ste,
 )
-from circkde.selectors import _lcv_objectives, _lcv_table
+from circkde.selectors import _lcv_candidates, _lcv_objectives, _lcv_table
 from circkde.simulate import builtin_models
 
 VM = KernelFamily.VONMISES
@@ -564,28 +564,32 @@ def _direct_loo(sample, spec):
 _FROZEN_SPECS = {}
 
 
+def _frozen_objective(sample, cfg, h):
+    """The leave-one-out objective of select_lcv as it was before the
+    shared spectral table: one direct sum at the sample points.  Candidate
+    kernels are memoized per (family, inversion, h)."""
+    n = sample.n
+    key = (cfg.kernel_family, cfg.exact_inversion, float(h))
+    if key not in _FROZEN_SPECS:
+        spec = None
+        if h < UNIFORM_BANDWIDTH * (1.0 - 1e-12):
+            spec = concentration_from_bandwidth(cfg.kernel_family, h, exact=cfg.exact_inversion)
+        _FROZEN_SPECS[key] = None if is_uniform_fallback(spec) else spec
+    spec = _FROZEN_SPECS[key]
+    if spec is None:
+        return -n * math.log(2.0 * np.pi)
+    loo = (n * kde_values(sample, spec, sample.angles) - roughness(spec, 0, 1)) / (n - 1)
+    if np.any(loo <= 0.0) or not np.all(np.isfinite(loo)):
+        return -np.inf
+    return float(np.sum(np.log(loo)))
+
+
 def _frozen_lcv(sample, cfg):
     """The grid search and parabolic step of select_lcv as they were before
-    the shared spectral table: one direct leave-one-out sum per candidate.
-    Candidate kernels are memoized per (family, inversion, h)."""
-    n = sample.n
+    the shared spectral table."""
 
     def objective_of_h(h):
-        key = (cfg.kernel_family, cfg.exact_inversion, float(h))
-        if key not in _FROZEN_SPECS:
-            spec = None
-            if h < UNIFORM_BANDWIDTH * (1.0 - 1e-12):
-                spec = concentration_from_bandwidth(
-                    cfg.kernel_family, h, exact=cfg.exact_inversion
-                )
-            _FROZEN_SPECS[key] = None if is_uniform_fallback(spec) else spec
-        spec = _FROZEN_SPECS[key]
-        if spec is None:
-            return -n * math.log(2.0 * np.pi)
-        loo = (n * kde_values(sample, spec, sample.angles) - roughness(spec, 0, 1)) / (n - 1)
-        if np.any(loo <= 0.0) or not np.all(np.isfinite(loo)):
-            return -np.inf
-        return float(np.sum(np.log(loo)))
+        return _frozen_objective(sample, cfg, h)
 
     hs = np.geomspace(1e-4, UNIFORM_BANDWIDTH, 64)
     objs = np.array([objective_of_h(h) for h in hs])
@@ -700,6 +704,45 @@ class TestSpectralLcv:
         assert select_lcv(sample, SelectorConfig()).nu == pytest.approx(
             concentration_from_bandwidth(VM, h_star).nu, rel=1e-8
         )
+
+    # a tight cluster and one point far from it: near the optimum the
+    # outlier's leave-one-out density is far below the series' rounding
+    # floor, and only a direct sum resolves it (the wrapped normal has no
+    # closed form, so the code before the table summed its series too)
+    @pytest.mark.parametrize(
+        "n,kappa,gap", [(1000, 400.0, 0.5), (1000, 400.0, 1.0), (300, 400.0, 0.5), (2000, 1000.0, 0.3)]
+    )
+    @pytest.mark.parametrize("cfg", SPECTRAL_LCV[:2], ids=["vm", "vm-exact"])
+    def test_isolated_outlier_matches_frozen_grid_code(self, cfg, n, kappa, gap):
+        rng = np.random.default_rng(3)
+        sample = CircularSample.from_data(np.concatenate([rng.vonmises(0.0, kappa, n), [gap]]))
+        sel = select_lcv(sample, cfg)
+        nu, fallback, obj = _frozen_lcv(sample, cfg)
+        assert sel.nu == pytest.approx(nu, rel=1e-8)
+        assert sel.fallback_uniform == fallback
+        assert sel.trace[0].psi == pytest.approx(obj, rel=1e-8)
+        # the best candidate and the two the parabolic step reads
+        hs, specs, weights, peaks = _lcv_table(cfg.kernel_family, cfg.exact_inversion)
+        objs = _lcv_objectives(sample, specs, weights, peaks)
+        best = int(np.argmax(objs))
+        assert 1 <= best <= 62
+        for g in (best - 1, best, best + 1):
+            frozen = _frozen_objective(sample, cfg, hs[g])
+            assert np.isfinite(objs[g]) == np.isfinite(frozen)
+            if np.isfinite(frozen):
+                assert objs[g] == pytest.approx(frozen, rel=1e-9)
+
+    def test_rows_beside_the_maximum_are_resolved(self):
+        # the narrowest candidate has leave-one-out densities below the
+        # series' floor and cannot be the maximum, but the parabolic step
+        # reads it as the neighbour of the best
+        rng = np.random.default_rng(0)
+        sample = CircularSample.from_data(np.concatenate([rng.vonmises(0.0, 30.0, 20), [0.5]]))
+        hs = [0.001, 0.02, 0.03]
+        objs = _lcv_objectives(sample, *_lcv_candidates(VM, hs, False))
+        assert int(np.argmax(objs)) == 1
+        for h, obj in zip(hs, objs):
+            assert obj == pytest.approx(_frozen_objective(sample, SelectorConfig(), h), rel=1e-9)
 
     # nu at the smallest grid bandwidth h = 1e-4, taken from the code
     # before the spectral table
