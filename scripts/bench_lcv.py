@@ -60,18 +60,26 @@ print(json.dumps(out))
 """
 
 
-def _run(src, sizes, repeats, pool):
+def run_child(src, code, args):
+    """Run ``code`` with ``args`` (JSON, as sys.argv[1]) in a fresh
+    interpreter that imports circkde from ``src``, BLAS pinned to one
+    thread; return the JSON the child prints."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    args = json.dumps({"sizes": sizes, "repeats": repeats, "pool": pool})
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, args], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, json.dumps(args)], env=env, capture_output=True, text=True
     )
+    if proc.returncode:
+        raise RuntimeError(f"benchmark child failed on {src}:\n{proc.stderr}")
     return json.loads(proc.stdout)
 
 
-def _cpu_model():
+def _run(src, sizes, repeats, pool):
+    return run_child(src, _CHILD, {"sizes": sizes, "repeats": repeats, "pool": pool})
+
+
+def cpu_model():
     try:
         with open("/proc/cpuinfo") as fh:
             for line in fh:
@@ -82,7 +90,7 @@ def _cpu_model():
     return platform.machine()
 
 
-def _rel(a, b):
+def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
 
 
@@ -105,13 +113,13 @@ def main(argv=None):
         before["nu"].update(part["nu"])
         last = (n, part["times"][str(n)]["cold_s"])
 
-    devs = [_rel(before["nu"][k], after["nu"][k]) for k in before["nu"]]
-    devs += [_rel(a, b) for a, b in zip(before["pool"], after["pool"])]
+    devs = [rel(before["nu"][k], after["nu"][k]) for k in before["nu"]]
+    devs += [rel(a, b) for a, b in zip(before["pool"], after["pool"])]
     report = {
         "what": "select_lcv wall time on one VM-MIX2 sample, von Mises kernel, default config",
         "machine": {
             "nproc": os.cpu_count(),
-            "cpu": _cpu_model(),
+            "cpu": cpu_model(),
             "python": platform.python_version(),
             "numpy": after["numpy"],
             "blas_threads": 1,

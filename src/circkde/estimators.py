@@ -4,14 +4,28 @@ Provides the density estimate built from a circular sample and a kernel,
 its derivative estimates, the quadratic functional estimate psi_hat used
 by the plug-in selectors, and an integrated-squared-error metric.
 
-Sums of kernels are evaluated either directly (closed-form families) or
-through the kernel's cosine series, which collapses the sum over
-observations onto the sample's trigonometric moments
+Sums of kernels are evaluated either directly or through the kernel's
+cosine series, which collapses the sum over observations onto the sample's
+trigonometric moments
 
     C_j = sum_i cos(j Theta_i),   S_j = sum_i sin(j Theta_i).
 
-Both routes compute the same quantity up to summation order; psi_hat keeps
-the direct double sum available as a cross-checking mode.
+Both routes compute the same quantity up to rounding; psi_hat keeps the
+direct double sum available as a cross-checking mode.
+
+* Direct: the density (r = 0) of the closed-form families (von Mises,
+  wrapped Cauchy and cardioid from the squared half chord between angles,
+  the wrapped Epanechnikov from its parabola) and the wrapped Epanechnikov
+  derivatives.  The density stays direct because a direct sum keeps its
+  relative accuracy far below the peak, where the series only reaches about
+  1e-12 K(0) in absolute terms and can even go negative; likelihood
+  cross-validation rescores such values through it.
+* Spectral: the wrapped normal density, derivatives of the smooth families,
+  psi_hat, the leave-one-out table of select_lcv and the Parseval ISE.
+
+One moment engine serves every spectral path: _trig_parts builds the
+cos/sin basis of 64 consecutive orders from an exact rebase cos/sin(j0 Theta)
+and a table cos/sin(k Theta), k < 64, so no order costs its own cos and sin.
 """
 
 import json
@@ -20,9 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import (
+    _HALF_ANGLE_FAMILIES,
     DEFAULT_TRUNCATION,
     KernelFamily,
     KernelSpec,
+    _half_angle_density,
     derivative_weights,
     kernel_value,
     wrap_angle,
@@ -44,16 +60,42 @@ __all__ = [
 ]
 
 # families with a cheap closed-form density (everything but wrapped normal)
-_CLOSED_DENSITY = {
-    KernelFamily.VONMISES,
-    KernelFamily.WRAPPEDCAUCHY,
-    KernelFamily.CARDIOID,
-    KernelFamily.WRAPPEDEPANECHNIKOV,
-}
+_CLOSED_DENSITY = _HALF_ANGLE_FAMILIES | {KernelFamily.WRAPPEDEPANECHNIKOV}
 
 # the r = 0 cosine series of the wrapped Epanechnikov decays like j^-3 and
 # never meets the truncation tolerance, so its ISE is summed on the grid
 _DIRECT_ISE = {KernelFamily.WRAPPEDEPANECHNIKOV}
+
+# orders per rebase in _trig_parts, and the number of array elements a row
+# block of a kernel sum or basis may hold: 2^16 doubles (512 KB) keep a
+# block's temporaries in cache, which ran faster than 2^14 or 2^18
+_ORDERS = 64
+_BLOCK_ELEMS = 1 << 16
+
+
+def _trig_parts(angles, starts, width):
+    """The two factors of the cos/sin basis of orders j0 + k, for j0 in
+    ``starts`` and k < ``width``, one row per angle: the exact rebase
+    [cos j0 Theta, sin j0 Theta], shape (len(angles), 2 len(starts)), and the
+    table [cos k Theta, sin k Theta], shape (len(angles), 2 width).  Angle
+    addition combines them:
+
+        cos (j0 + k) Theta = cos j0 Theta cos k Theta - sin j0 Theta sin k Theta,
+        sin (j0 + k) Theta = sin j0 Theta cos k Theta + cos j0 Theta sin k Theta.
+
+    Every factor is a single cos or sin evaluation, so the error does not
+    grow with the order the way a power recurrence's would.
+    """
+    nb = len(starts)
+    rebase = np.empty((len(angles), 2 * nb))
+    args = np.multiply.outer(angles, starts.astype(float))
+    np.cos(args, out=rebase[:, :nb])
+    np.sin(args, out=rebase[:, nb:])
+    table = np.empty((len(angles), 2 * width))
+    args = np.multiply.outer(angles, np.arange(width, dtype=float))
+    np.cos(args, out=table[:, :width])
+    np.sin(args, out=table[:, width:])
+    return rebase, table
 
 
 def default_grid(num=512):
@@ -90,22 +132,29 @@ class CircularSample:
         return int(self.angles.size)
 
     def trig_moments(self, max_order):
-        """(C, S) with C[k] = sum_i cos((k+1) Theta_i), k = 0..max_order-1."""
+        """(C, S) with C[k] = sum_i cos((k+1) Theta_i), k = 0..max_order-1.
+
+        Orders beyond those memoized are summed in blocks of _ORDERS by
+        _trig_parts, one GEMM per block of angle rows, so memory is bounded
+        by the row block and the memoized prefix is never recomputed.
+        """
         if max_order < 0:
             raise ValueError("max_order must be nonnegative")
         if max_order == 0:
             return np.empty(0), np.empty(0)
         have = self._moments.get("J", 0)
         if max_order > have:
-            cos_parts = []
-            sin_parts = []
-            for lo in range(have + 1, max_order + 1, 512):
-                js = np.arange(lo, min(lo + 512, max_order + 1))
-                args = self.angles[:, None] * js[None, :]
-                cos_parts.append(np.cos(args).sum(axis=0))
-                sin_parts.append(np.sin(args).sum(axis=0))
-            new_c = np.concatenate(cos_parts)
-            new_s = np.concatenate(sin_parts)
+            starts = np.arange(have + 1, max_order + 1, _ORDERS)
+            width = min(_ORDERS, max_order - have)
+            nb = len(starts)
+            rows = max(1, _BLOCK_ELEMS // (2 * max(nb, width)))
+            acc = np.zeros((2 * nb, 2 * width))
+            for lo in range(0, self.n, rows):
+                rebase, table = _trig_parts(self.angles[lo : lo + rows], starts, width)
+                acc += rebase.T @ table
+            # angle addition, summed over the sample
+            new_c = (acc[:nb, :width] - acc[nb:, width:]).ravel()[: max_order - have]
+            new_s = (acc[nb:, :width] + acc[:nb, width:]).ravel()[: max_order - have]
             if have:
                 new_c = np.concatenate([self._moments["C"], new_c])
                 new_s = np.concatenate([self._moments["S"], new_s])
@@ -159,15 +208,34 @@ class FunctionalEstimate:
     pilot: KernelSpec
 
 
-def _direct_sum(sample, spec, deriv_order, thetas, chunk=2048):
-    """Mean of kernel values over the sample, evaluated on a grid."""
-    out = np.empty(len(thetas))
+def _direct_sum(sample, spec, deriv_order, thetas):
+    """Mean of kernel values over the sample at each angle, summed in blocks
+    of about _BLOCK_ELEMS pairs.
+
+    The von Mises, wrapped Cauchy and cardioid densities are functions of the
+    squared half chord s = |e^{ix} - e^{i Theta}|^2 / 4 = sin^2((x - Theta)/2),
+    taken from coordinates computed once per angle, so no pair needs a trig
+    call or an angle reduction.
+    """
     data = sample.angles
-    for lo in range(0, len(thetas), max(1, chunk // max(sample.n, 1))):
-        hi = min(lo + max(1, chunk // max(sample.n, 1)), len(thetas))
-        diffs = thetas[lo:hi, None] - data[None, :]
-        vals = kernel_value(spec, diffs.ravel(), deriv_order)
-        out[lo:hi] = vals.reshape(hi - lo, sample.n).mean(axis=1)
+    n = sample.n
+    rows = max(1, _BLOCK_ELEMS // n)
+    chord = deriv_order == 0 and spec.family in _HALF_ANGLE_FAMILIES
+    if chord:
+        px, py = np.cos(thetas), np.sin(thetas)
+        dx, dy = np.cos(data), np.sin(data)
+    out = np.empty(len(thetas))
+    for lo in range(0, len(thetas), rows):
+        hi = min(lo + rows, len(thetas))
+        if chord:
+            s = (px[lo:hi, None] - dx) ** 2
+            s += (py[lo:hi, None] - dy) ** 2
+            s *= 0.25
+            vals = _half_angle_density(spec, s)
+        else:
+            diffs = thetas[lo:hi, None] - data[None, :]
+            vals = kernel_value(spec, diffs.ravel(), deriv_order).reshape(hi - lo, n)
+        out[lo:hi] = vals.mean(axis=1)
     return out
 
 
@@ -176,34 +244,60 @@ def _spectral_sum(sample, weights, deriv_order, thetas):
 
     ``weights`` is one kernel's (J,) derivative_weights, giving one value
     per angle, or a zero-padded (G, J) matrix with one kernel per row,
-    giving a (len(thetas), G) array.  The cos/sin basis is built in blocks
-    of angles, so its memory stays bounded for any number of angles.
+    giving a (len(thetas), G) array.  The cos/sin basis at the angles comes
+    from _trig_parts in blocks of angles, so its memory stays bounded for
+    any number of angles.
     """
     J = weights.shape[-1]
     C, S = sample.trig_moments(J)
     base = 1.0 / (2.0 * np.pi) if deriv_order == 0 else 0.0
-    phase = deriv_order * np.pi / 2.0
-    js = np.arange(1, J + 1, dtype=float)
-    wc, ws = (weights * C).T, (weights * S).T
     out = np.full((len(thetas),) + weights.shape[:-1], base)
-    for lo in range(0, len(thetas), 4096):
-        block = thetas[lo : lo + 4096, None] * js[None, :] + phase
-        out[lo : lo + 4096] += (np.cos(block) @ wc + np.sin(block) @ ws) / (np.pi * sample.n)
+    if J == 0:  # ise_weights of uniform kernels only
+        return out
+    # the phase r pi/2 of the differentiated series is a quarter turn, folded
+    # exactly into the weights: cos(x + phase) = a cos x - b sin x and
+    # sin(x + phase) = b cos x + a sin x
+    a, b = ((1, 0), (0, 1), (-1, 0), (0, -1))[deriv_order % 4]
+    wc, ws = weights * C, weights * S
+    starts = np.arange(1, J + 1, _ORDERS)
+    nb, width = len(starts), min(_ORDERS, J)
+    vc = np.zeros((nb * width,) + weights.shape[:-1])
+    vs = np.zeros_like(vc)
+    vc[:J] = (a * wc + b * ws).T
+    vs[:J] = (a * ws - b * wc).T
+    rows = max(1, _BLOCK_ELEMS // (nb * width))
+    for lo in range(0, len(thetas), rows):
+        rebase, table = _trig_parts(thetas[lo : lo + rows], starts, width)
+        rc, rs = rebase[:, :nb, None], rebase[:, nb:, None]
+        tc, ts = table[:, None, :width], table[:, None, width:]
+        m = len(table)
+        cos = (rc * tc - rs * ts).reshape(m, nb * width)
+        sin = (rs * tc + rc * ts).reshape(m, nb * width)
+        out[lo : lo + rows] += (cos @ vc + sin @ vs) / (np.pi * sample.n)
     return out
 
 
 def kde_values(sample, kernel, points, deriv_order=0, trunc=None):
-    """Raw estimator values at arbitrary angles (no ordering required)."""
+    """Raw estimator values at arbitrary angles (no ordering required).
+
+    The density (deriv_order 0) of a closed-form family and any wrapped
+    Epanechnikov order are direct sums over the sample, which keep their
+    relative accuracy in the tails; every other case sums the kernel's
+    cosine series on the sample's moments, accurate to about 1e-12 of the
+    peak.  The uniform kernel (nu = 0) gives its constant.
+    """
     trunc = trunc or DEFAULT_TRUNCATION
     points = np.asarray(points, dtype=float)
     if sample.n < 1:
         raise ValueError("sample must contain at least one angle")
+    if kernel.nu == 0.0:
+        return np.full(len(points), 1.0 / (2.0 * np.pi) if deriv_order == 0 else 0.0)
     if deriv_order == 0:
-        direct = kernel.nu == 0.0 or kernel.family in _CLOSED_DENSITY
+        direct = kernel.family in _CLOSED_DENSITY
     else:
         # the differentiated series decays too slowly past the wrapped
         # Epanechnikov kink; its piecewise polynomial is exact and cheap
-        direct = kernel.nu == 0.0 or kernel.family == KernelFamily.WRAPPEDEPANECHNIKOV
+        direct = kernel.family == KernelFamily.WRAPPEDEPANECHNIKOV
     if direct:
         return _direct_sum(sample, kernel, deriv_order, points)
     weights = derivative_weights(kernel, deriv_order, trunc)

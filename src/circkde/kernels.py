@@ -476,6 +476,25 @@ def _series_eval(weights, theta, phase, chunk=8192):
     return out / np.pi
 
 
+# families whose density is an elementary function of sin^2(theta / 2)
+_HALF_ANGLE_FAMILIES = {KernelFamily.VONMISES, KernelFamily.WRAPPEDCAUCHY, KernelFamily.CARDIOID}
+
+
+def _half_angle_density(spec, s):
+    """K(theta) of a _HALF_ANGLE_FAMILIES kernel from s = sin^2(theta / 2),
+    i.e. cos theta = 1 - 2s.  The von Mises exponent kappa (cos theta - 1)
+    = -2 kappa s then keeps full relative accuracy near theta = 0, where
+    cos theta - 1 cancels."""
+    fam = spec.family
+    two_pi = 2.0 * np.pi
+    if fam == KernelFamily.VONMISES:
+        return np.exp(-2.0 * spec.kappa * s) / (two_pi * ive(0, spec.kappa))
+    nu = spec.nu
+    if fam == KernelFamily.WRAPPEDCAUCHY:
+        return (1.0 - nu * nu) / (two_pi * ((1.0 - nu) ** 2 + 4.0 * nu * s))
+    return (1.0 + 2.0 * nu * (1.0 - 2.0 * s)) / two_pi
+
+
 def kernel_value(spec, theta, deriv_order=0, trunc=None):
     """Evaluate K^(r)(theta) for scalar or array theta.
 
@@ -489,7 +508,6 @@ def kernel_value(spec, theta, deriv_order=0, trunc=None):
     if r < 0:
         raise ValueError(f"deriv_order must be nonnegative, got {r}")
     scalar = np.isscalar(theta) or np.ndim(theta) == 0
-    th = np.atleast_1d(wrap_angle(theta)).astype(float)
     fam = spec.family
     two_pi = 2.0 * np.pi
 
@@ -498,6 +516,11 @@ def kernel_value(spec, theta, deriv_order=0, trunc=None):
             "wrapped Epanechnikov derivatives beyond order 2 are distributional"
         )
 
+    if r == 0 and fam in _HALF_ANGLE_FAMILIES:
+        # sin^2(theta / 2) is 2 pi periodic, so theta needs no reduction
+        out = _half_angle_density(spec, np.sin(0.5 * np.atleast_1d(theta).astype(float)) ** 2)
+        return float(out[0]) if scalar else out
+    th = np.atleast_1d(wrap_angle(theta)).astype(float)
     if spec.nu == 0.0:
         out = np.full(th.shape, 1.0 / two_pi) if r == 0 else np.zeros(th.shape)
     elif fam == KernelFamily.WRAPPEDEPANECHNIKOV:
@@ -509,18 +532,9 @@ def kernel_value(spec, theta, deriv_order=0, trunc=None):
             out = np.where(inside, -3.0 * th / (2.0 * lam**3), 0.0)
         else:
             out = np.where(inside, -3.0 / (2.0 * lam**3), 0.0)
-    elif r == 0:
-        if fam == KernelFamily.VONMISES:
-            kappa = spec.kappa
-            out = np.exp(kappa * (np.cos(th) - 1.0)) / (two_pi * ive(0, kappa))
-        elif fam == KernelFamily.WRAPPEDCAUCHY:
-            nu = spec.nu
-            out = (1.0 - nu * nu) / (two_pi * (1.0 + nu * nu - 2.0 * nu * np.cos(th)))
-        elif fam == KernelFamily.CARDIOID:
-            out = (1.0 + 2.0 * spec.nu * np.cos(th)) / two_pi
-        else:  # wrapped normal: no elementary closed form
-            weights = _series_weights(spec, 0, 1, trunc)
-            out = 1.0 / two_pi + _series_eval(weights, th, 0.0)
+    elif r == 0:  # wrapped normal: no elementary closed form
+        weights = _series_weights(spec, 0, 1, trunc)
+        out = 1.0 / two_pi + _series_eval(weights, th, 0.0)
     else:
         weights = _series_weights(spec, r, 1, trunc)
         out = _series_eval(weights, th, r * np.pi / 2.0)

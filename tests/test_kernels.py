@@ -496,6 +496,18 @@ class TestKernelValue:
         )
 
     @pytest.mark.parametrize("spec", [
+        KernelSpec.vonmises(kappa=2.5),
+        KernelSpec.wrapped_cauchy(0.6),
+        KernelSpec.cardioid(0.4),
+    ], ids=lambda s: s.family.value)
+    @pytest.mark.parametrize("k", [-3, 5])
+    def test_closed_forms_periodic_without_reduction(self, spec, k):
+        ts = np.array([-3.0, -2.0, -0.3, 0.0, 0.9, 2.8, np.pi])
+        np.testing.assert_allclose(
+            kernel_value(spec, ts + 2.0 * np.pi * k), kernel_value(spec, ts), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("spec", [
         KernelSpec.vonmises(kappa=3.0),
         KernelSpec.wrapped_normal(0.6),
         KernelSpec.wrapped_cauchy(0.5),
