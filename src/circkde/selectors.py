@@ -359,23 +359,25 @@ def select_ste(sample, cfg):
 
 
 def _first_root(g, lo, hi, tol, trace):
-    """First sign-change root of g on [lo, hi] via a 32-point log prescan;
-    records multiplicity when the prescan shows several sign changes."""
+    """First root of g on [lo, hi] in scan order of a 32-point log prescan:
+    an exact zero of the prescan or a sign change between neighbours,
+    whichever comes first; records multiplicity when the prescan shows
+    several sign changes.  A sign change is refined by find_root, which
+    reuses the prescan's values at the two ends."""
     hs = np.geomspace(lo, hi, 32)
-    vals = np.array([g(h) for h in hs])
+    vals = [g(h) for h in hs]
     signs = np.sign(vals)
     flips = [
         k for k in range(len(hs) - 1) if signs[k] != 0 and signs[k + 1] != 0 and signs[k] != signs[k + 1]
     ]
-    zero_hits = np.nonzero(signs == 0)[0]
-    if len(zero_hits):
-        return float(hs[zero_hits[0]])
-    if not flips:
-        return None
     if len(flips) > 1:
         trace.append(TraceEntry(label=f"ste-multiple-roots:{len(flips)}"))
-    a, b = hs[flips[0]], hs[flips[0] + 1]
-    return find_root(g, float(a), float(b), tol=tol)
+    for k in range(len(hs)):
+        if signs[k] == 0:
+            return float(hs[k])
+        if flips and k == flips[0]:
+            return find_root(g, hs[k], hs[k + 1], tol=tol, g_lo=vals[k], g_hi=vals[k + 1])
+    return None
 
 
 def _lcv_candidates(family, hs, exact):

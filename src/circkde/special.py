@@ -3,18 +3,25 @@
 Everything in this module is kernel-agnostic: ratios of modified Bessel
 functions, the polylogarithm on the real interval needed by wrapped-Cauchy
 closed forms, adaptive quadrature over one period of the circle, and a
-bracketed scalar root finder.  The heavy lifting is delegated to scipy
-(exponentially scaled Bessel functions, Gauss-Kronrod quadrature, Brent's
-method); this module pins the domains, tolerances, and failure modes the
-rest of the package relies on.
+bracketed scalar root finder.  Bessel functions and the dilogarithm come
+from scipy.special.  Quadrature is scipy's Gauss-Kronrod ``quad``, imported
+on the first ``integrate_circle`` call, so that scipy.integrate (and the
+scipy.optimize, scipy.linalg and scipy.sparse it loads) stays off the
+import path.  Brent's method is an in-house port of scipy's ``brentq``
+and gives the same roots bit for bit.  This module pins the domains,
+tolerances, and failure modes the rest of the package relies on:
+
+* ValueError for arguments outside a function's domain, including a NaN
+  function value inside ``find_root``;
+* BracketingError when ``find_root`` gets no sign change;
+* ToleranceError, carrying the best estimate, when an iteration or
+  quadrature budget runs out before its tolerance is met.
 """
 
 from dataclasses import dataclass, field
-from math import fsum
+from math import fsum, inf, ulp
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import ive, spence
 
 from .errors import BracketingError, ToleranceError
@@ -191,6 +198,9 @@ def integrate_circle(f, cfg=None):
     attached) when the error estimate exceeds ``cfg.abs_tol`` or the
     subdivision budget is exhausted.
     """
+    # imported here: scipy.integrate costs about 0.4 s of cold start
+    from scipy.integrate import quad
+
     cfg = cfg or DEFAULT_QUADRATURE
     out = quad(
         f,
@@ -211,22 +221,90 @@ def integrate_circle(f, cfg=None):
     return value
 
 
-def find_root(g, lo, hi, tol=1e-9, max_iter=200):
+# brentq's smallest relative tolerance, 4 machine epsilons
+_BRENT_RTOL = 4.0 * ulp(1.0)
+
+
+def _checked(value, x):
+    value = float(value)
+    if value != value:
+        raise ValueError(f"g({x!r}) is NaN; the root finder cannot continue")
+    return value
+
+
+def find_root(g, lo, hi, tol=1e-9, max_iter=200, g_lo=None, g_hi=None):
     """Find a root of g on [lo, hi] by Brent's method.
 
-    The endpoints must bracket a sign change; otherwise BracketingError is
-    raised carrying g(lo) and g(hi) so callers can decide how to widen.
+    A line-for-line port of scipy's ``brentq`` (Brent 1973): the same
+    interpolation, extrapolation and bisection steps and the same stopping
+    rule, |step| below (tol + 4 eps |x|)/2, so roots equal
+    ``scipy.optimize.brentq(g, lo, hi, xtol=tol, maxiter=max_iter)`` bit
+    for bit.  ``g_lo`` and ``g_hi``, when given, are taken as g(lo) and
+    g(hi) and those ends are not evaluated again.
+
+    Returns lo (or hi) when g vanishes there.  Raises ValueError when tol
+    is not positive or a value of g is NaN; BracketingError, carrying g(lo)
+    and g(hi), when the ends do not bracket a sign change; and
+    ToleranceError, carrying the last iterate, when ``max_iter``
+    iterations do not meet the tolerance.
     """
-    g_lo = g(lo)
-    g_hi = g(hi)
-    if g_lo == 0.0:
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    lo, hi = float(lo), float(hi)
+    f_lo = _checked(g(lo) if g_lo is None else g_lo, lo)
+    f_hi = _checked(g(hi) if g_hi is None else g_hi, hi)
+    if f_lo == 0.0:
         return lo
-    if g_hi == 0.0:
+    if f_hi == 0.0:
         return hi
-    if np.sign(g_lo) == np.sign(g_hi):
+    if (f_lo < 0.0) == (f_hi < 0.0):
         raise BracketingError(
-            f"no sign change on [{lo:.6g}, {hi:.6g}]: g(lo)={g_lo:.6g}, g(hi)={g_hi:.6g}",
-            g_lo=g_lo,
-            g_hi=g_hi,
+            f"no sign change on [{lo:.6g}, {hi:.6g}]: g(lo)={f_lo:.6g}, g(hi)={f_hi:.6g}",
+            g_lo=f_lo,
+            g_hi=f_hi,
         )
-    return brentq(g, lo, hi, xtol=tol, maxiter=max_iter)
+    # xpre/xcur: the previous and current iterates; xblk: the other end of
+    # the bracket; spre/scur: the previous two steps
+    xpre, xcur, fpre, fcur = lo, hi, f_lo, f_hi
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(max_iter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # IEEE division gives an infinite or NaN step, which bisects
+                stry = inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = _checked(g(xcur), xcur)
+    raise ToleranceError(
+        f"find_root did not converge in {max_iter} iterations on [{lo:.6g}, {hi:.6g}]",
+        estimate=xcur,
+    )

@@ -1,0 +1,81 @@
+"""Cold start: the CLI's import path and its commands on the bundled crash
+data load no scipy.optimize, scipy.integrate, scipy.linalg or scipy.sparse.
+
+Each check runs in a fresh interpreter, since the test session itself has
+imported those modules long before.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import circkde
+
+HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.sparse")
+
+_CHILD = r"""
+import contextlib, io, json, sys
+from importlib import resources
+
+import circkde.cli
+
+heavy = json.loads(sys.argv[1])
+loaded = {}
+csv = str(resources.files("circkde") / "data" / "crash_times.csv")
+commands = [
+    ["select", "--method", "dpi", "--mmax", "3"],
+    ["select", "--method", "ste"],
+    ["density", "--method", "dpi"],
+    ["modes", "--method", "dpi"],
+]
+
+
+def present():
+    return sorted(m for m in sys.modules if m in heavy or m.startswith(tuple(h + "." for h in heavy)))
+
+
+loaded["import"] = present()
+for sub, *options in commands:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = circkde.cli.main([sub, csv, "--format", "hhmm", "--column", "time", *options])
+    assert code == 0 and out.getvalue(), (sub, options)
+    loaded[" ".join([sub, *options])] = present()
+
+from circkde.special import integrate_circle
+
+value = integrate_circle(lambda t: t * t)
+print(json.dumps({"loaded": loaded, "integral": value, "integrate_loaded": "scipy.integrate" in sys.modules}))
+"""
+
+
+def _run_child():
+    src = str(Path(circkde.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(HEAVY)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_commands_keep_heavy_scipy_off_the_import_path():
+    report = _run_child()
+    assert list(report["loaded"]) == [
+        "import",
+        "select --method dpi --mmax 3",
+        "select --method ste",
+        "density --method dpi",
+        "modes --method dpi",
+    ]
+    for stage, modules in report["loaded"].items():
+        assert modules == [], stage
+    # quadrature still works once asked for, importing scipy.integrate then
+    assert report["integrate_loaded"]
+    assert math.isclose(report["integral"], 2 * math.pi**3 / 3, rel_tol=1e-10)

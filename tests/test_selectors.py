@@ -5,12 +5,13 @@ bandwidth formulas.  Monte-Carlo checks use fixed seeds and modest
 replication; the heavier calibration runs live in the acceptance suite.
 """
 
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import i0e
 
 from circkde.errors import UnsupportedKernelError
@@ -24,7 +25,9 @@ from circkde.kernels import (
     is_uniform_fallback,
     roughness,
 )
+from circkde import selectors
 from circkde.mixture import select_aic, psi_from_model
+from circkde.special import find_root
 from circkde.selectors import (
     SelectorConfig,
     SelectorMethod,
@@ -40,7 +43,7 @@ from circkde.selectors import (
     select_rt,
     select_ste,
 )
-from circkde.selectors import _lcv_candidates, _lcv_objectives, _lcv_table
+from circkde.selectors import _first_root, _lcv_candidates, _lcv_objectives, _lcv_table
 from circkde.simulate import builtin_models
 
 VM = KernelFamily.VONMISES
@@ -449,6 +452,91 @@ class TestSolveTheEquation:
             ise_ste.append(_fast_ise(s, select_ste(s, cfg).nu, truth))
             ise_gs.append(_fast_ise(s, select_gold(s, truth, cfg).nu, truth))
         assert np.median(ise_ste) <= 2.0 * np.median(ise_gs)
+
+
+class TestFirstRoot:
+    """The STE root search: a 32-point log prescan, then Brent on the first
+    bracket in scan order."""
+
+    LO, HI = 1e-3, 1.0
+    HS = np.geomspace(LO, HI, 32)
+
+    def test_sign_change_before_exact_zero_wins(self):
+        # prescan signs [-, +, 0, +, ...]: the root inside [hs[0], hs[1]]
+        # comes first in scan order, not the exact zero at hs[2]
+        hs = self.HS
+        r = math.sqrt(hs[0] * hs[1])
+
+        def g(h):
+            if h == hs[2]:
+                return 0.0
+            return h - r if h < hs[2] else 1.0
+
+        trace = []
+        root = _first_root(g, self.LO, self.HI, 1e-12, trace)
+        assert root == brentq(g, hs[0], hs[1], xtol=1e-12, maxiter=200)
+        assert root == pytest.approx(r, abs=1e-12)
+        assert trace == []
+
+    def test_exact_zero_before_sign_change_wins(self):
+        hs = self.HS
+
+        def g(h):
+            if h == hs[5]:
+                return 0.0
+            return 1.0 if h < hs[9] else -1.0
+
+        assert _first_root(g, self.LO, self.HI, 1e-12, []) == hs[5]
+
+    def test_zero_between_opposite_signs_is_the_root(self):
+        # signs [-, 0, +, ...]: the zero is the root, the two ends beside
+        # it do not count as a sign change
+        hs = self.HS
+        g = lambda h: 0.0 if h == hs[1] else (-1.0 if h < hs[1] else 1.0)
+        assert _first_root(g, self.LO, self.HI, 1e-12, []) == hs[1]
+
+    def test_no_root_returns_none(self):
+        assert _first_root(lambda h: h + 1.0, self.LO, self.HI, 1e-12, []) is None
+
+    def test_multiple_sign_changes_are_traced(self):
+        g = lambda h: math.cos(20.0 * h)
+        trace = []
+        root = _first_root(g, self.LO, self.HI, 1e-12, trace)
+        assert root == pytest.approx(math.pi / 40.0, abs=1e-12)
+        assert [t.label for t in trace] == ["ste-multiple-roots:6"]
+
+    def test_bracket_ends_are_evaluated_once(self, monkeypatch):
+        hs = self.HS
+        target = 0.0537
+        g = lambda h: float(h) ** 3 - target**3
+        calls, refined = [], []
+
+        def counted(h):
+            calls.append(h)
+            return g(h)
+
+        def spy(*args, **kwargs):
+            refined.append(kwargs)
+            return find_root(*args, **kwargs)
+
+        # _first_root reaches find_root through the module global
+        monkeypatch.setattr(selectors, "find_root", spy)
+        root = _first_root(counted, self.LO, self.HI, 1e-8, [])
+        k = int(np.searchsorted(hs, target)) - 1
+        ref_calls = []
+        expected = brentq(lambda h: ref_calls.append(h) or g(h), hs[k], hs[k + 1], xtol=1e-8, maxiter=200)
+        assert root == expected
+        assert len(refined) == 1 and refined[0]["g_lo"] == g(hs[k]) and refined[0]["g_hi"] == g(hs[k + 1])
+        # 32 prescan values, then only Brent's own iterates
+        assert list(calls[:32]) == list(hs)
+        assert calls[32:] == ref_calls[2:]
+        assert hs[k] not in calls[32:] and hs[k + 1] not in calls[32:]
+
+    def test_exhausted_brent_falls_back_as_numeric_error(self, monkeypatch):
+        monkeypatch.setattr(selectors, "find_root", functools.partial(find_root, max_iter=2))
+        sel = select_ste(vm_sample(0), SelectorConfig())
+        assert sel.fallback_uniform
+        assert sel.trace[-1].label == "fallback:numeric-error"
 
 
 def _fast_ise(sample, nu, truth, m=2048):

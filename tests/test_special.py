@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import iv, ive
 
 from circkde.errors import BracketingError, ToleranceError
@@ -160,3 +161,117 @@ class TestFindRoot:
             find_root(lambda x: x * x + 1.0, -1.0, 1.0)
         assert err.value.g_lo == pytest.approx(2.0)
         assert err.value.g_hi == pytest.approx(2.0)
+
+
+def _steep(x):
+    return math.tanh(40.0 * (x - 0.3)) + 0.05 * math.exp(x)
+
+
+def _flat_then_steep(x):
+    # |x - c|^25 is nearly flat around its root, so the secant and
+    # inverse-quadratic steps are rejected and Brent bisects
+    d = x - 0.123456789
+    return math.copysign(abs(d) ** 25, d)
+
+
+def _step(x):
+    # a jump at 0.4: no interpolation step helps, every iterate bisects
+    return -1.0 if x < 0.4 else 1.0
+
+
+# (g, lo, hi, tol): a table of brackets for the bit-for-bit comparison
+BRENT_CASES = {
+    "cos": (math.cos, 1.0, 2.0, 1e-12),
+    "sqrt2": (lambda x: x * x - 2.0, 0.0, 2.0, 1e-12),
+    "sqrt2-loose": (lambda x: x * x - 2.0, 0.0, 2.0, 1e-3),
+    "steep-tanh-exp": (_steep, -2.0, 3.0, 1e-13),
+    "tanh-wide": (lambda x: math.tanh(15.0 * (x - 0.87)), -0.2, 2.6, 1e-11),
+    "cusp-root": (lambda x: math.copysign(abs(x + 0.73) ** 0.1, x + 0.73), -2.9, 0.85, 1e-11),
+    "exp-scale": (lambda x: math.exp(30.0 * x) - 7.0, -1.0, 1.0, 1e-14),
+    "root-within-tol-of-lo": (lambda x: x - 1e-10, 0.0, 1.0, 1e-9),
+    "root-within-tol-of-hi": (lambda x: x - (1.0 - 1e-10), 0.0, 1.0, 1e-9),
+    "bisection-flat": (_flat_then_steep, -1.0, 2.0, 1e-12),
+    "bisection-step": (_step, 0.0, 1.0, 1e-12),
+    "tiny-tol": (math.sin, 3.0, 3.5, 5e-324),
+}
+
+
+def _recording(g):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return g(x)
+
+    return wrapped, calls
+
+
+class TestFindRootMatchesBrentq:
+    """find_root ports scipy's brentq: same roots, same iterates."""
+
+    @pytest.mark.parametrize("name", sorted(BRENT_CASES))
+    @pytest.mark.parametrize("pass_ends", [False, True], ids=["evaluated", "passed"])
+    def test_bit_identical_root_and_iterates(self, name, pass_ends):
+        g, lo, hi, tol = BRENT_CASES[name]
+        ref_g, ref_calls = _recording(g)
+        expected = brentq(ref_g, lo, hi, xtol=tol, maxiter=200)
+        ours_g, calls = _recording(g)
+        ends = {"g_lo": g(lo), "g_hi": g(hi)} if pass_ends else {}
+        root = find_root(ours_g, lo, hi, tol=tol, max_iter=200, **ends)
+        assert type(root) is float
+        assert root == expected
+        # brentq evaluates both ends first; passed values skip exactly those
+        assert calls == (ref_calls[2:] if pass_ends else ref_calls)
+
+    def test_passed_ends_are_not_evaluated(self):
+        g, calls = _recording(math.cos)
+        find_root(g, 1.0, 2.0, g_lo=math.cos(1.0), g_hi=math.cos(2.0))
+        assert 1.0 not in calls and 2.0 not in calls
+
+    def test_zero_at_lo_returns_lo(self):
+        assert find_root(lambda x: x, 0.0, 1.0, g_hi=1.0) == 0.0
+        # with both ends passed, g is never called (this one would raise)
+        assert find_root(lambda x: 1.0 / 0.0, 0.0, 1.0, g_lo=0.0, g_hi=1.0) == 0.0
+
+    def test_zero_at_hi_returns_hi(self):
+        assert find_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+    def test_no_sign_change_raises_bracketing_error(self):
+        with pytest.raises(BracketingError) as err:
+            find_root(lambda x: x * x + 1.0, -1.0, 1.0, g_lo=2.5)
+        assert err.value.g_lo == 2.5
+        assert err.value.g_hi == 2.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+    def test_nonpositive_tol_rejected(self, tol):
+        with pytest.raises(ValueError):
+            find_root(math.cos, 1.0, 2.0, tol=tol)
+
+    def test_nan_at_an_end_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            find_root(lambda x: math.nan if x == 2.0 else math.cos(x), 1.0, 2.0)
+        with pytest.raises(ValueError, match="NaN"):
+            find_root(lambda x: math.nan if x == 1.0 else math.cos(x), 1.0, 2.0)
+
+    @pytest.mark.parametrize("ends", [{"g_lo": math.nan}, {"g_hi": math.nan}])
+    def test_passed_nan_end_raises(self, ends):
+        with pytest.raises(ValueError, match="NaN"):
+            find_root(math.cos, 1.0, 2.0, **ends)
+
+    def test_nan_at_an_iterate_raises(self):
+        # finite at both ends, NaN strictly inside: brentq's NaN wrapper
+        # raises ValueError on the first interior evaluation too
+        g = lambda x: math.cos(x) if x in (1.0, 2.0) else math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(g, 1.0, 2.0)
+        with pytest.raises(ValueError, match="NaN"):
+            find_root(g, 1.0, 2.0)
+
+    def test_exhausted_iterations_raise_tolerance_error(self):
+        g, lo, hi, tol = BRENT_CASES["steep-tanh-exp"]
+        last, info = brentq(g, lo, hi, xtol=tol, maxiter=2, full_output=True, disp=False)
+        assert not info.converged
+        with pytest.raises(ToleranceError) as err:
+            find_root(g, lo, hi, tol=tol, max_iter=2)
+        assert not isinstance(err.value, BracketingError)
+        assert err.value.estimate == last
