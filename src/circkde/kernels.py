@@ -22,10 +22,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ive
 
 from .errors import ToleranceError, UnsupportedKernelError
-from .special import bessel_ratio, find_root, inv_bessel_ratio, polylog
+from .special import (
+    bessel_ratio,
+    bessel_ratio_span,
+    bessel_ratios,
+    find_root,
+    i0e,
+    inv_bessel_ratio,
+    polylog,
+)
 
 __all__ = [
     "KernelFamily",
@@ -196,10 +203,8 @@ def _alpha_block(spec, js):
     """Vectorized alpha_j for an integer array js >= 1."""
     fam = spec.family
     if fam == KernelFamily.VONMISES:
-        if spec.kappa == 0.0:
-            return np.zeros(len(js))
-        scaled = ive(js, spec.kappa)
-        return scaled / ive(0, spec.kappa)
+        # one cached table per kappa, whose entries do not depend on its length
+        return bessel_ratios(spec.kappa, int(js.max())).ratios[js]
     if fam == KernelFamily.WRAPPEDNORMAL:
         if spec.nu == 0.0:
             return np.zeros(len(js))
@@ -225,38 +230,61 @@ def fourier_coefficient(spec, j):
     return float(_alpha_block(spec, np.array([int(j)]))[0])
 
 
+def _tail_rule(c, total, consec, rel_tol):
+    """Run the tail rule over the next terms c of a series.
+
+    ``total`` is the running sum of |terms| before c and ``consec`` the
+    length of the run of small terms that ends there.  Returns the index
+    in c of the term that completes three small terms in a row, or None
+    with the updated (total, consec) to carry into the next block.
+    """
+    mags = np.abs(c)
+    # running sums in the same left-to-right order as term-by-term
+    # accumulation, so the result does not depend on the block sizes
+    running = np.cumsum(np.concatenate(([total], mags)))[1:]
+    small = mags <= rel_tol * np.maximum(running, 1e-300)
+    # length of the run of small terms ending at each index, counting
+    # the run carried over from the previous block
+    idx = np.arange(len(c))
+    last_big = np.maximum.accumulate(np.where(small, -1, idx))
+    runs = idx - last_big + np.where(last_big < 0, consec, 0)
+    stop = np.flatnonzero(runs >= 3)
+    if stop.size:
+        return int(stop[0]), total, consec
+    return None, float(running[-1]), int(runs[-1])
+
+
+def _first_block(spec):
+    # von Mises: the orders where alpha_j ~ exp(-j^2 / 2 kappa) can still
+    # pass the tail rule, which is also the first span of its ratio table
+    if spec.family == KernelFamily.VONMISES:
+        return bessel_ratio_span(spec.kappa)
+    return 64
+
+
 @lru_cache(maxsize=4096)
 def _series_weights(spec, growth, power, trunc):
     """Truncated coefficient array c_j = j^growth * alpha_j^power, j = 1..J.
 
     Truncation follows the tail rule with the running sum of |c_j| as the
     reference scale; raises ToleranceError when max_terms is exhausted.
+    Coefficients are asked for in blocks that double, starting from the
+    family's predicted length, so a von Mises kernel usually needs one.
     """
     out = []
     total = 0.0
     consec = 0
     j0 = 1
-    block = 64
+    block = _first_block(spec)
     while j0 <= trunc.max_terms:
         hi = min(j0 + block - 1, trunc.max_terms)
         js = np.arange(j0, hi + 1)
-        alphas = _alpha_block(spec, js)
-        c = js.astype(float) ** growth * alphas**power
-        # running sums in the same left-to-right order as term-by-term
-        # accumulation, so J does not depend on the block sizes
-        running = np.cumsum(np.concatenate(([total], np.abs(c))))[1:]
-        small = np.abs(c) <= trunc.rel_tol * np.maximum(running, 1e-300)
-        # length of the run of small terms ending at each index, counting
-        # the run carried over from the previous block
-        idx = np.arange(len(c))
-        last_big = np.maximum.accumulate(np.where(small, -1, idx))
-        runs = idx - last_big + np.where(last_big < 0, consec, 0)
-        stop = np.flatnonzero(runs >= 3)
-        if stop.size:
-            out.append(c[: stop[0] + 1])
+        c = js.astype(float) ** growth * _alpha_block(spec, js) ** power
+        stop, total, consec = _tail_rule(c, total, consec, trunc.rel_tol)
+        if stop is not None:
+            out.append(c[: stop + 1])
             return np.concatenate(out)
         out.append(c)
-        total, consec = float(running[-1]), int(runs[-1])
         j0 = hi + 1
         block = min(block * 2, 4096)
     raise ToleranceError(
@@ -349,9 +377,9 @@ def roughness(spec, deriv_order=0, power=2, trunc=None):
     if fam == KernelFamily.VONMISES and r == 0:
         if t == 1:
             # K(0) = exp(kappa) / (2 pi I_0(kappa))
-            return 1.0 / (2.0 * np.pi * ive(0, spec.kappa))
+            return 1.0 / (2.0 * np.pi * i0e(spec.kappa))
         # int K^2 = I_0(2 kappa) / (2 pi I_0(kappa)^2)
-        return float(ive(0, 2.0 * spec.kappa) / (2.0 * np.pi * ive(0, spec.kappa) ** 2))
+        return i0e(2.0 * spec.kappa) / (2.0 * np.pi * i0e(spec.kappa) ** 2)
     weights = _series_weights(spec, t * r, t, trunc)
     total = math.fsum(weights)
     if r == 0:
@@ -488,7 +516,7 @@ def _half_angle_density(spec, s):
     fam = spec.family
     two_pi = 2.0 * np.pi
     if fam == KernelFamily.VONMISES:
-        return np.exp(-2.0 * spec.kappa * s) / (two_pi * ive(0, spec.kappa))
+        return np.exp(-2.0 * spec.kappa * s) / (two_pi * i0e(spec.kappa))
     nu = spec.nu
     if fam == KernelFamily.WRAPPEDCAUCHY:
         return (1.0 - nu * nu) / (two_pi * ((1.0 - nu) ** 2 + 4.0 * nu * s))

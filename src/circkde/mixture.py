@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ive
 
 from .errors import FitError, ToleranceError
-from .kernels import FourierTruncation, wrap_angle
-from .special import bessel_ratios, inv_bessel_ratio
+from .kernels import FourierTruncation, _tail_rule, wrap_angle
+from .special import bessel_ratio_span, bessel_ratios, i0e, inv_bessel_ratio
 
 __all__ = [
     "MixtureModel",
@@ -76,7 +75,7 @@ class FitReport:
 
 
 def _log_i0(kappa):
-    return math.log(ive(0, kappa)) + kappa
+    return math.log(i0e(kappa)) + kappa
 
 
 def _em_once(x, M, init_means, init_kappa, max_iter=500, tol=1e-8):
@@ -214,21 +213,56 @@ def mixture_density(model, theta):
         out = np.full(th.shape, 1.0 / (2.0 * np.pi))
     else:
         comp = np.exp(model.kappa * (np.cos(th[:, None] - model.mus[None, :]) - 1.0))
-        comp /= 2.0 * np.pi * ive(0, model.kappa)
+        comp /= 2.0 * np.pi * i0e(model.kappa)
         out = comp @ model.weights
     return float(out[0]) if scalar else out
+
+
+def _harmonics(model, js, ratios):
+    # rows (a_j, b_j) at the orders js, given I_j(kappa)/I_0(kappa) there
+    args = js[:, None] * model.mus[None, :]
+    a = (np.cos(args) * model.weights[None, :]).sum(axis=1) * ratios
+    b = (np.sin(args) * model.weights[None, :]).sum(axis=1) * ratios
+    return np.column_stack([a, b])
 
 
 def mixture_fourier(model, J):
     """Cosine/sine coefficients of the mixture, rows (a_j, b_j), j = 1..J."""
     if J < 1:
         raise ValueError(f"J must be positive, got {J}")
-    js = np.arange(1, J + 1)
-    ratios = bessel_ratios(model.kappa, J).ratios[1:]
-    args = js[:, None] * model.mus[None, :]
-    a = (np.cos(args) * model.weights[None, :]).sum(axis=1) * ratios
-    b = (np.sin(args) * model.weights[None, :]).sum(axis=1) * ratios
-    return np.column_stack([a, b])
+    return _harmonics(model, np.arange(1, J + 1), bessel_ratios(model.kappa, J).ratios[1:])
+
+
+def _psi_terms(model, s, trunc):
+    """The harmonic terms j^s (a_j^2 + b_j^2), j = 1..J, of psi_s for a
+    mixture with kappa > 0, with J from the tail rule on the envelope
+    j^s ratio_j^2.  Each block of orders reads one ratio table, and blocks
+    double from the kernel's predicted length."""
+    terms = []
+    envelope_total = 0.0
+    consec = 0
+    j0 = 1
+    block = bessel_ratio_span(model.kappa)
+    while j0 <= trunc.max_terms:
+        hi = min(j0 + block - 1, trunc.max_terms)
+        js = np.arange(j0, hi + 1)
+        ratios = bessel_ratios(model.kappa, hi).ratios[j0:]
+        coeffs = _harmonics(model, js, ratios)
+        powers = js.astype(float) ** s
+        vals = powers * (coeffs[:, 0] ** 2 + coeffs[:, 1] ** 2)
+        stop, envelope_total, consec = _tail_rule(
+            powers * ratios**2, envelope_total, consec, trunc.rel_tol
+        )
+        if stop is not None:
+            terms.append(vals[: stop + 1])
+            return np.concatenate(terms)
+        terms.append(vals)
+        j0 = hi + 1
+        block = min(block * 2, 4096)
+    raise ToleranceError(
+        f"mixture harmonic series for s={s}, kappa={model.kappa} "
+        f"did not fall below tolerance within {trunc.max_terms} terms"
+    )
 
 
 def psi_from_model(model, s, trunc=None):
@@ -246,34 +280,4 @@ def psi_from_model(model, s, trunc=None):
     if model.kappa == 0.0:
         return base
     sign = -1.0 if s % 4 == 2 else 1.0
-    terms = []
-    envelope_total = 0.0
-    consec = 0
-    j0 = 1
-    block = 64
-    while j0 <= trunc.max_terms:
-        hi = min(j0 + block - 1, trunc.max_terms)
-        coeffs = mixture_fourier(model, hi)[j0 - 1 :]
-        js = np.arange(j0, hi + 1, dtype=float)
-        ratios = bessel_ratios(model.kappa, hi).ratios[j0:]
-        env = js**s * ratios**2
-        vals = js**s * (coeffs[:, 0] ** 2 + coeffs[:, 1] ** 2)
-        done = False
-        for k in range(len(js)):
-            terms.append(vals[k])
-            envelope_total += env[k]
-            if env[k] <= trunc.rel_tol * max(envelope_total, 1e-300):
-                consec += 1
-                if consec >= 3:
-                    done = True
-                    break
-            else:
-                consec = 0
-        if done:
-            return base + sign * math.fsum(terms) / np.pi
-        j0 = hi + 1
-        block = min(block * 2, 4096)
-    raise ToleranceError(
-        f"mixture harmonic series for s={s}, kappa={model.kappa} "
-        f"did not fall below tolerance within {trunc.max_terms} terms"
-    )
+    return base + sign * math.fsum(_psi_terms(model, s, trunc)) / np.pi

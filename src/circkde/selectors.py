@@ -331,9 +331,19 @@ def select_ste(sample, cfg):
     the plug-in formula with a bandwidth-dependent pilot."""
     trace = []
     try:
-        gamma, g = _ste_gamma_and_g(sample, cfg, trace)
-        if g is None:
+        gamma, gap = _ste_gamma_and_g(sample, cfg, trace)
+        if gap is None:
             return _fallback(SelectorMethod.STE, trace, "pilot-chain")
+        # every value of g is a psi_hat with a fresh pilot kernel; the root
+        # that Brent returns and the ends of the first prescan have all been
+        # evaluated before, so the residual and the fallback reuse them
+        known = {}
+
+        def g(h):
+            if h not in known:
+                known[h] = gap(h)
+            return known[h]
+
         lo, hi = cfg.ste_bracket
         root = _first_root(g, lo, hi, cfg.ste_tol, trace)
         if root is None:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0
 
 from .estimators import CircularSample, grid_ise
 from .kernels import KernelSpec
@@ -85,7 +84,7 @@ def _vm_mixture_model(name, weights, mus, kappas):
     weights = np.asarray(weights, dtype=float)
     mus = np.asarray(mus, dtype=float)
     kappas = np.asarray(kappas, dtype=float)
-    norms = 2.0 * np.pi * i0(kappas)
+    norms = 2.0 * np.pi * np.i0(kappas)
 
     def density(theta):
         th = np.asarray(theta, dtype=float)

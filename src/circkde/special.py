@@ -1,15 +1,25 @@
 """Special functions and generic numerical routines.
 
-Everything in this module is kernel-agnostic: ratios of modified Bessel
-functions, the polylogarithm on the real interval needed by wrapped-Cauchy
-closed forms, adaptive quadrature over one period of the circle, and a
-bracketed scalar root finder.  Bessel functions and the dilogarithm come
-from scipy.special.  Quadrature is scipy's Gauss-Kronrod ``quad``, imported
-on the first ``integrate_circle`` call, so that scipy.integrate (and the
-scipy.optimize, scipy.linalg and scipy.sparse it loads) stays off the
-import path.  Brent's method is an in-house port of scipy's ``brentq``
-and gives the same roots bit for bit.  This module pins the domains,
-tolerances, and failure modes the rest of the package relies on:
+Everything in this module is kernel-agnostic: the exponentially scaled
+Bessel function I0e, ratios of modified Bessel functions, the
+polylogarithm on the real interval needed by wrapped-Cauchy closed forms,
+adaptive quadrature over one period of the circle, and a bracketed scalar
+root finder.  All of it is in-house and needs only numpy, except the
+quadrature: scipy's Gauss-Kronrod ``quad``, imported on the first
+``integrate_circle`` call so that no scipy module is on the import path.
+
+* I0e is the Cephes Chebyshev form, with the coefficient tables of numpy's
+  ``i0`` (scipy's ``i0e`` uses the same).
+* Bessel ratios come from Miller's backward recurrence for
+  I_j/I_{j-1} (Gautschi 1967; Amos 1974), with an asymptotic series for
+  I_1/I_0 at large concentrations.
+* The dilogarithm is its power series on [-1/2, 1/2], extended to
+  [-1, 1] by Landen's identity and the reflection formula.
+* Brent's method is a port of scipy's ``brentq`` and gives the same roots
+  bit for bit.
+
+This module pins the domains, tolerances, and failure modes the rest of
+the package relies on:
 
 * ValueError for arguments outside a function's domain, including a NaN
   function value inside ``find_root``;
@@ -18,18 +28,21 @@ tolerances, and failure modes the rest of the package relies on:
   quadrature budget runs out before its tolerance is met.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import fsum, inf, ulp
 
 import numpy as np
-from scipy.special import ive, spence
 
 from .errors import BracketingError, ToleranceError
 
 __all__ = [
     "BesselRatioTable",
     "QuadratureConfig",
+    "i0e",
     "bessel_ratio",
+    "bessel_ratio_span",
     "bessel_ratios",
     "inv_bessel_ratio",
     "polylog",
@@ -60,52 +73,229 @@ class BesselRatioTable:
     ratios: np.ndarray = field(repr=False)
 
 
-def bessel_ratio(kappa, order=1):
-    """Return I_order(kappa)/I_0(kappa) for kappa >= 0.
+def _concentration(kappa):
+    kappa = float(kappa)
+    if not 0.0 <= kappa < inf:
+        raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
+    return kappa
 
-    Uses exponentially scaled Bessel functions, so the ratio stays finite
-    and accurate for concentrations up to at least 1e6.
+
+def _order(value, name):
+    if not float(value).is_integer() or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
+# Cephes Chebyshev coefficients of exp(-x) I_0(x), as in numpy's i0 (scipy's
+# i0e uses the same tables): _I0E_A in x/2 - 2 on [0, 8], and _I0E_B in
+# 32/x - 2 on (8, inf), where the series gives sqrt(x) exp(-x) I_0(x).
+_I0E_A = (
+    -4.41534164647933937950e-18,
+    3.33079451882223809783e-17,
+    -2.43127984654795469359e-16,
+    1.71539128555513303061e-15,
+    -1.16853328779934516808e-14,
+    7.67618549860493561688e-14,
+    -4.85644678311192946090e-13,
+    2.95505266312963983461e-12,
+    -1.72682629144155570723e-11,
+    9.67580903537323691224e-11,
+    -5.18979560163526290666e-10,
+    2.65982372468238665035e-9,
+    -1.30002500998624804212e-8,
+    6.04699502254191894932e-8,
+    -2.67079385394061173391e-7,
+    1.11738753912010371815e-6,
+    -4.41673835845875056359e-6,
+    1.64484480707288970893e-5,
+    -5.75419501008210370398e-5,
+    1.88502885095841655729e-4,
+    -5.76375574538582365885e-4,
+    1.63947561694133579842e-3,
+    -4.32430999505057594430e-3,
+    1.05464603945949983183e-2,
+    -2.37374148058994688156e-2,
+    4.93052842396707084878e-2,
+    -9.49010970480476444210e-2,
+    1.71620901522208775349e-1,
+    -3.04682672343198398683e-1,
+    6.76795274409476084995e-1,
+)
+_I0E_B = (
+    -7.23318048787475395456e-18,
+    -4.83050448594418207126e-18,
+    4.46562142029675999901e-17,
+    3.46122286769746109310e-17,
+    -2.82762398051658348494e-16,
+    -3.42548561967721913462e-16,
+    1.77256013305652638360e-15,
+    3.81168066935262242075e-15,
+    -9.55484669882830764870e-15,
+    -4.15056934728722208663e-14,
+    1.54008621752140982691e-14,
+    3.85277838274214270114e-13,
+    7.18012445138366623367e-13,
+    -1.79417853150680611778e-12,
+    -1.32158118404477131188e-11,
+    -3.14991652796324136454e-11,
+    1.18891471078464383424e-11,
+    4.94060238822496958910e-10,
+    3.39623202570838634515e-9,
+    2.26666899049817806459e-8,
+    2.04891858946906374183e-7,
+    2.89137052083475648297e-6,
+    6.88975834691682398426e-5,
+    3.36911647825569408990e-3,
+    8.04490411014108831608e-1,
+)
+
+
+def _chbevl(x, coeffs):
+    # Clenshaw recurrence of Cephes' chbevl; the first pass sets b0 to
+    # coeffs[0] exactly, as chbevl's initialisation does
+    b0 = b1 = b2 = 0.0
+    for c in coeffs:
+        b2 = b1
+        b1 = b0
+        b0 = x * b1 - b2 + c
+    return 0.5 * (b0 - b2)
+
+
+def i0e(kappa):
+    """Exponentially scaled modified Bessel function exp(-kappa) I_0(kappa)
+    for finite kappa >= 0, by the Cephes Chebyshev expansions."""
+    x = _concentration(kappa)
+    if x <= 8.0:
+        return _chbevl(x / 2.0 - 2.0, _I0E_A)
+    return _chbevl(32.0 / x - 2.0, _I0E_B) / math.sqrt(x)
+
+
+def _backward_ratios(kappa, lo, hi):
+    """[r_lo, ..., r_hi] with r_j = I_j(kappa)/I_{j-1}(kappa), 1 <= lo <= hi.
+
+    Miller's backward recurrence r_j = kappa/(2j + kappa r_{j+1})
+    (Gautschi 1967; Amos 1974), started at order N = ceil(sqrt(hi^2 +
+    40 kappa)) + 16 from the Amos-type estimate r_{N+1} = kappa/(N + 1 +
+    sqrt((N + 1)^2 + kappa^2)).  An error in r_{j+1} reaches r_j scaled by
+    r_j^2, so by order hi the start's error has shrunk by (I_N/I_hi)^2,
+    at most about exp(-(N^2 - hi^2)/kappa) < exp(-40).
     """
-    if kappa < 0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
+    n = math.ceil(math.sqrt(hi * hi + 40.0 * kappa)) + 16
+    m = n + 1.0
+    r = kappa / (m + math.sqrt(m * m + kappa * kappa))
+    for j in range(n, hi, -1):
+        r = kappa / (2.0 * j + kappa * r)
+    out = [0.0] * (hi - lo + 1)
+    for j in range(hi, lo - 1, -1):
+        r = kappa / (2.0 * j + kappa * r)
+        out[j - lo] = r
+    return out
+
+
+def bessel_ratio_span(kappa):
+    """Orders j covered by the first span of a ratio table: those where
+    I_j(kappa)/I_0(kappa), about exp(-j^2 / (2 kappa)), is still above
+    about exp(-50), and at least 64.  A coefficient series j^r (I_j/I_0)^t
+    with r <= 8 meets a 1e-12 relative tail rule inside it."""
+    return max(64, math.ceil(math.sqrt(100.0 * _concentration(kappa))))
+
+
+@lru_cache(maxsize=256)
+def _ratio_prefix(kappa, spans):
+    """Read-only I_j(kappa)/I_0(kappa) for j = 0..S * 2^(spans - 1), where
+    S = bessel_ratio_span(kappa) and kappa > 0.
+
+    The table grows by whole spans, (0, S], (S, 2S], (2S, 4S], ..., each
+    from its own backward recurrence and carried on from the last entry of
+    the one before.  So an entry depends only on kappa and j, never on how
+    long a table was asked for.
+    """
+    hi = bessel_ratio_span(kappa) << (spans - 1)
+    head = np.ones(1) if spans == 1 else _ratio_prefix(kappa, spans - 1)
+    steps = _backward_ratios(kappa, len(head), hi)
+    tail = np.cumprod(np.concatenate((head[-1:], steps)))[1:]
+    table = np.concatenate((head, tail))
+    table.flags.writeable = False
+    return table
+
+
+def _ratio_table(kappa, max_order):
+    # the shortest cached table that reaches max_order, for kappa > 0
+    span, spans = bessel_ratio_span(kappa), 1
+    while span << (spans - 1) < max_order:
+        spans += 1
+    return _ratio_prefix(kappa, spans)
+
+
+# From here on I_1/I_0 takes its asymptotic series: the first omitted term,
+# 1073 / (1024 kappa^6), is below 2e-20 and the value is within an ulp.
+_RATIO_ASYMPTOTIC_KAPPA = 2000.0
+
+
+def _first_ratio(kappa):
+    # I_1(kappa)/I_0(kappa) for kappa >= 0
+    if kappa >= _RATIO_ASYMPTOTIC_KAPPA:
+        t = 1.0 / kappa
+        return 1.0 - t * (0.5 + t * (0.125 + t * (0.125 + t * (25.0 / 128.0 + t * (13.0 / 32.0)))))
+    return _backward_ratios(kappa, 1, 1)[0]
+
+
+def bessel_ratio(kappa, order=1):
+    """Return I_order(kappa)/I_0(kappa) for finite kappa >= 0 and an
+    integer order >= 0.
+
+    Order 1 is computed on its own, by the backward recurrence or, from
+    kappa = 2000 on, by the asymptotic series 1 - 1/(2 kappa) - 1/(8
+    kappa^2) - 1/(8 kappa^3) - 25/(128 kappa^4) - 13/(32 kappa^5).  Higher
+    orders are read from the same table as ``bessel_ratios``.  Raises
+    ValueError for a negative, NaN or infinite kappa and for an order that
+    is not a nonnegative integer.
+    """
+    kappa = _concentration(kappa)
+    order = _order(order, "order")
+    if order == 0:
+        return 1.0
     if kappa == 0.0:
-        return 1.0 if order == 0 else 0.0
-    return float(ive(order, kappa) / ive(0, kappa))
+        return 0.0
+    if order == 1:
+        return _first_ratio(kappa)
+    return float(_ratio_table(kappa, order)[order])
 
 
 def bessel_ratios(kappa, max_order):
     """Tabulate I_j(kappa)/I_0(kappa) for j = 0..max_order.
 
+    The ratios r_j = I_j/I_{j-1} come from Miller's backward recurrence
+    and the table is their running product.  Tables are cached per kappa
+    and grow by whole spans (``bessel_ratio_span``), so an entry does not
+    depend on max_order and a kernel's coefficients are computed once.
+
     Parameters
     ----------
     kappa : float
-        Concentration, >= 0.
+        Concentration, finite and >= 0.
     max_order : int
-        Largest order j to tabulate, >= 0.
+        Largest order j to tabulate, an integer >= 0.
 
     Returns
     -------
     BesselRatioTable
-        ratios[0] is exactly 1; entries decrease monotonically in j.
+        ratios[0] is exactly 1; entries decrease monotonically in j and
+        underflow to 0 where the ratio does.
     """
-    if kappa < 0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    if max_order < 0:
-        raise ValueError(f"max_order must be nonnegative, got {max_order}")
-    orders = np.arange(max_order + 1)
+    kappa = _concentration(kappa)
+    max_order = _order(max_order, "max_order")
     if kappa == 0.0:
         ratios = np.zeros(max_order + 1)
         ratios[0] = 1.0
     else:
-        scaled = ive(orders, kappa)
-        ratios = scaled / scaled[0]
-        ratios[0] = 1.0
-    return BesselRatioTable(kappa=float(kappa), max_order=int(max_order), ratios=ratios)
+        ratios = _ratio_table(kappa, max_order)[: max_order + 1].copy()
+    return BesselRatioTable(kappa=kappa, max_order=max_order, ratios=ratios)
 
 
 def _ratio_and_derivative(kappa):
     # d/dk [I1/I0] = 1 - A/k - A^2, with the k->0 limit 1/2
-    a = bessel_ratio(kappa, 1)
+    a = _first_ratio(kappa)
     if kappa < 1e-8:
         return a, 0.5
     return a, 1.0 - a / kappa - a * a
@@ -128,7 +318,7 @@ def inv_bessel_ratio(nu, rel_tol=1e-10, max_iter=100):
     else:
         kappa = 1.0 / (2.0 * (1.0 - nu))
     lo, hi = 0.0, kappa
-    while bessel_ratio(hi, 1) < nu:
+    while _first_ratio(hi) < nu:
         lo = hi
         hi *= 2.0
         if hi > 1e12:
@@ -142,12 +332,40 @@ def inv_bessel_ratio(nu, rel_tol=1e-10, max_iter=100):
             lo = kappa
         step = (a - nu) / da
         new = kappa - step
-        if not lo < new < hi:
+        if not lo <= new <= hi:
             new = 0.5 * (lo + hi)
         if abs(new - kappa) <= rel_tol * max(new, 1e-300):
             return new
         kappa = new
     raise ToleranceError(f"inv_bessel_ratio({nu}) did not converge", estimate=kappa)
+
+
+def _dilog_series(x):
+    # sum_k x^k / k^2 for |x| <= 1/2, until the terms drop below 2^-60 of x
+    terms = []
+    power, k = x, 1
+    while abs(power) > 8.7e-19 * abs(x):
+        terms.append(power / (k * k))
+        k += 1
+        power *= x
+    return fsum(terms)
+
+
+_ZETA2 = math.pi**2 / 6.0
+
+
+def _dilog(x):
+    """Li_2(x) on [-1, 1]: the power series on [-1/2, 1/2], Landen's
+    identity Li_2(x) = -Li_2(x/(x-1)) - log(1-x)^2/2 below it, and the
+    reflection Li_2(x) = pi^2/6 - log(x) log(1-x) - Li_2(1-x) above it."""
+    if x > 0.5:
+        if x == 1.0:
+            return _ZETA2
+        return _ZETA2 - math.log(x) * math.log1p(-x) - _dilog_series(1.0 - x)
+    if x < -0.5:
+        log_1mx = math.log1p(-x)
+        return -_dilog_series(x / (x - 1.0)) - 0.5 * log_1mx * log_1mx
+    return _dilog_series(x)
 
 
 # Eulerian-number numerators for Li_{-n}(x) = (sum_k A(n,k) x^(n-k)) / (1-x)^(n+1).
@@ -181,7 +399,7 @@ def polylog(order, x):
     if x == -1.0 and order < 1:
         raise ValueError(f"Li_{order}(-1) diverges")
     if order == 2:
-        return float(spence(1.0 - x))
+        return _dilog(float(x))
     if order == 1:
         return -np.log1p(-x)
     if order == 0:

@@ -1,5 +1,5 @@
 """Cold start: the CLI's import path and its commands on the bundled crash
-data load no scipy.optimize, scipy.integrate, scipy.linalg or scipy.sparse.
+data load no scipy module; quadrature imports scipy.integrate on demand.
 
 Each check runs in a fresh interpreter, since the test session itself has
 imported those modules long before.
@@ -51,11 +51,11 @@ print(json.dumps({"loaded": loaded, "integral": value, "integrate_loaded": "scip
 """
 
 
-def _run_child():
+def _run_child(heavy=HEAVY):
     src = str(Path(circkde.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(HEAVY)],
+        [sys.executable, "-c", _CHILD, json.dumps(heavy)],
         capture_output=True,
         text=True,
         env=env,
@@ -77,5 +77,15 @@ def test_cli_commands_keep_heavy_scipy_off_the_import_path():
     for stage, modules in report["loaded"].items():
         assert modules == [], stage
     # quadrature still works once asked for, importing scipy.integrate then
+    assert report["integrate_loaded"]
+    assert math.isclose(report["integral"], 2 * math.pi**3 / 3, rel_tol=1e-10)
+
+
+def test_cli_commands_load_no_scipy_module():
+    # "scipy" matches the package itself and every scipy.* submodule
+    report = _run_child(("scipy",))
+    assert len(report["loaded"]) == 5
+    for stage, modules in report["loaded"].items():
+        assert modules == [], stage
     assert report["integrate_loaded"]
     assert math.isclose(report["integral"], 2 * math.pi**3 / 3, rel_tol=1e-10)

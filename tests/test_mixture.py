@@ -14,18 +14,21 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import i0
 
-from circkde.errors import FitError
+from circkde.errors import FitError, ToleranceError
 from circkde.estimators import CircularSample
+from circkde.kernels import FourierTruncation
 from circkde.mixture import (
+    _PSI_TRUNCATION,
     FitReport,
     MixtureModel,
     fit_em,
     mixture_density,
     mixture_fourier,
+    _psi_terms,
     psi_from_model,
     select_aic,
 )
-from circkde.special import inv_bessel_ratio
+from circkde.special import bessel_ratios, inv_bessel_ratio
 
 
 def two_component_sample(n, seed, mus=(0.0, np.pi), kappa=8.0, w=0.5):
@@ -295,3 +298,73 @@ class TestPsiFromModel:
             assert psi_from_model(rotated, s) == pytest.approx(
                 psi_from_model(model, s), rel=1e-12
             )
+
+
+def _psi_terms_loop(model, s, trunc):
+    """Frozen term-by-term tail rule of psi_from_model, with one ratio
+    table for the coefficients and another for the envelope in each
+    block: the reference for the vectorised rule."""
+    terms = []
+    envelope_total = 0.0
+    consec = 0
+    j0 = 1
+    block = 64
+    while j0 <= trunc.max_terms:
+        hi = min(j0 + block - 1, trunc.max_terms)
+        coeffs = mixture_fourier(model, hi)[j0 - 1 :]
+        js = np.arange(j0, hi + 1, dtype=float)
+        ratios = bessel_ratios(model.kappa, hi).ratios[j0:]
+        env = js**s * ratios**2
+        vals = js**s * (coeffs[:, 0] ** 2 + coeffs[:, 1] ** 2)
+        for k in range(len(js)):
+            terms.append(vals[k])
+            envelope_total += env[k]
+            if env[k] <= trunc.rel_tol * max(envelope_total, 1e-300):
+                consec += 1
+                if consec >= 3:
+                    return np.array(terms)
+            else:
+                consec = 0
+        j0 = hi + 1
+        block = min(block * 2, 4096)
+    raise ToleranceError("budget exhausted")
+
+
+def _tail_rule_models():
+    rng = np.random.default_rng(5)
+    models = []
+    for kappa in (0.05, 0.7, 3.0, 12.0, 41.0, 250.0, 3000.0, 2.0e5):
+        for M in (1, 2, 4):
+            mus = np.pi / 2 * np.arange(M) if M == 4 else rng.uniform(-np.pi, np.pi, M)
+            models.append(MixtureModel(M, mus, kappa, np.full(M, 1.0 / M)))
+    return models
+
+
+class TestPsiTailRule:
+    # the symmetric four-component models have harmonics only at multiples
+    # of 4; rel_tol = 1e-200 runs past the first block of every model
+    def test_matches_term_by_term_loop(self):
+        truncs = (
+            _PSI_TRUNCATION,
+            FourierTruncation(rel_tol=1e-6, max_terms=100),
+            FourierTruncation(rel_tol=1e-200),
+        )
+        errors = 0
+        for model in _tail_rule_models():
+            for s in (0, 2, 4, 6, 8, 10):
+                for trunc in truncs:
+                    try:
+                        expect = _psi_terms_loop(model, s, trunc)
+                    except ToleranceError:
+                        errors += 1
+                        with pytest.raises(ToleranceError):
+                            _psi_terms(model, s, trunc)
+                        continue
+                    got = _psi_terms(model, s, trunc)
+                    assert len(got) == len(expect), (model, s, trunc)
+                    assert np.array_equal(got, expect), (model, s, trunc)
+                    sign = -1.0 if s % 4 == 2 else 1.0
+                    base = 1.0 / (2.0 * np.pi) if s == 0 else 0.0
+                    value = base + sign * math.fsum(expect) / np.pi
+                    assert psi_from_model(model, s, trunc) == value
+        assert errors > 0  # the budget-exhaustion path is exercised

@@ -539,6 +539,59 @@ class TestFirstRoot:
         assert sel.trace[-1].label == "fallback:numeric-error"
 
 
+class TestSteGapValuesComputedOnce:
+    """Each value of the STE gap g costs a psi_hat with a fresh pilot
+    kernel; select_ste evaluates g at no bandwidth twice."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        pilots, brent_calls = [], []
+
+        def counted_psi_hat(sample, spec, order):
+            pilots.append((spec, order))
+            return psi_hat(sample, spec, order)
+
+        def counted_find_root(g, *args, **kwargs):
+            def counted(h):
+                brent_calls.append(h)
+                return g(h)
+
+            return find_root(counted, *args, **kwargs)
+
+        monkeypatch.setattr(selectors, "psi_hat", counted_psi_hat)
+        monkeypatch.setattr(selectors, "find_root", counted_find_root)
+        return pilots, brent_calls
+
+    def test_root_residual_reuses_brents_value(self, monkeypatch):
+        pilots, brent_calls = self._spy(monkeypatch)
+        sel = select_ste(vm_sample(0), SelectorConfig())
+        assert [t.label for t in sel.trace][-2:] == ["ste-residual", "final"]
+        assert len(set(pilots)) == len(pilots)
+        # two pilot functionals, the 32-point prescan, then Brent's own
+        # iterates; the residual at the root adds no call
+        assert len(brent_calls) > 0
+        assert len(pilots) == 2 + 32 + len(brent_calls)
+
+    def test_no_sign_change_reuses_prescan_values(self, monkeypatch):
+        pilots, brent_calls = self._spy(monkeypatch)
+        seen_before_dpi = []
+        dpi_h = selectors._dpi_h
+
+        def counted_dpi_h(*args):
+            seen_before_dpi.append(len(pilots))
+            return dpi_h(*args)
+
+        monkeypatch.setattr(selectors, "_dpi_h", counted_dpi_h)
+        sel = select_ste(vm_sample(0), SelectorConfig(ste_bracket=(1e-3, 2e-3)))
+        assert any(t.label.startswith("fallback:no-sign-change:") for t in sel.trace)
+        assert brent_calls == []
+        ste_pilots = pilots[: seen_before_dpi[0]]
+        assert len(set(ste_pilots)) == len(ste_pilots)
+        # two prescans that share their upper end; the ends in the trace
+        # label come from the first
+        assert len(ste_pilots) == 2 + 32 + 31
+
+
 def _fast_ise(sample, nu, truth, m=2048):
     pts = np.linspace(-np.pi, np.pi, m, endpoint=False)
     if nu == 0.0:

@@ -8,18 +8,23 @@ root finder against analytic roots.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import iv, ive
+from scipy.special import iv, ive, spence
 
+from circkde import special
 from circkde.errors import BracketingError, ToleranceError
 from circkde.special import (
+    _RATIO_ASYMPTOTIC_KAPPA,
     QuadratureConfig,
+    _ratio_prefix,
     bessel_ratio,
     bessel_ratios,
     find_root,
+    i0e,
     integrate_circle,
     inv_bessel_ratio,
     polylog,
@@ -100,6 +105,24 @@ class TestInvBesselRatio:
             inv_bessel_ratio(-0.1)
 
 
+class TestInvBesselRatioSteps:
+    def test_newton_landing_on_the_root_stops(self, monkeypatch):
+        # a Newton step that lands where I_1/I_0 equals nu exactly is the
+        # root; it must not send the iteration into bisecting its bracket
+        calls = []
+        ratio_and_derivative = special._ratio_and_derivative
+        monkeypatch.setattr(
+            special, "_ratio_and_derivative", lambda k: calls.append(k) or ratio_and_derivative(k)
+        )
+        steps = []
+        for kappa in np.geomspace(1e-3, 1e5, 200):
+            nu = bessel_ratio(kappa, 1)
+            calls.clear()
+            assert inv_bessel_ratio(nu) == pytest.approx(kappa, rel=1e-8)
+            steps.append(len(calls))
+        assert max(steps) <= 8
+
+
 class TestPolylog:
     @pytest.mark.parametrize("order", [2, 1, 0, -1, -2, -3, -4])
     @pytest.mark.parametrize("x", [-0.9, -0.5, -0.25, 0.25, 0.5, 0.9])
@@ -123,6 +146,185 @@ class TestPolylog:
                 polylog(order, x)
         with pytest.raises(ValueError):
             polylog(3, 0.5)
+
+
+def bessel_i_decimal(order, kappa):
+    """I_order(kappa) to 50 digits: the power series sum_k (kappa/2)^(2k+order)
+    / (k! (k+order)!) in decimal arithmetic, from the exact value of the
+    float kappa > 0."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        half = Decimal(kappa) / 2
+        term = half**order / math.factorial(order)
+        total = Decimal(0)
+        k = 0
+        while True:
+            total += term
+            k += 1
+            term = term * half * half / (k * (k + order))
+            if k > half and term < total * Decimal("1e-55"):
+                return total
+
+
+def i0e_decimal(kappa):
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return bessel_i_decimal(0, kappa) * (-Decimal(kappa)).exp()
+
+
+def ratios_decimal(kappa, max_order):
+    with localcontext() as ctx:
+        ctx.prec = 50
+        i0 = bessel_i_decimal(0, kappa)
+        return [float(bessel_i_decimal(j, kappa) / i0) for j in range(max_order + 1)]
+
+
+# i0e switches expansions at kappa = 8
+ORACLE_KAPPAS = [
+    1e-8, 1e-3, 0.5, 2.2, math.nextafter(8.0, 0.0), 8.0, math.nextafter(8.0, 9.0), 9.0, 25.0, 50.0
+]
+SCIPY_KAPPAS = [1e-8, 1e-4, 0.3, 1.0, 4.5, 30.0, 300.0, 1999.0, 2000.0, 4316.0, 1e5, 1e6, 1e7]
+
+
+class TestBesselDecimalOracle:
+    """i0e, bessel_ratio and bessel_ratios against 50-digit power series."""
+
+    @pytest.mark.parametrize("kappa", ORACLE_KAPPAS)
+    def test_i0e(self, kappa):
+        assert i0e(kappa) == pytest.approx(float(i0e_decimal(kappa)), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("kappa", ORACLE_KAPPAS)
+    def test_ratios_up_to_order_200(self, kappa):
+        expected = ratios_decimal(kappa, 200)
+        table = bessel_ratios(kappa, 200).ratios
+        checked = 0
+        for j, value in enumerate(expected):
+            if value >= 1e-290:
+                checked += 1
+                assert table[j] == pytest.approx(value, rel=1e-14, abs=0.0), j
+                assert bessel_ratio(kappa, j) == pytest.approx(value, rel=1e-14, abs=0.0), j
+        assert checked >= 2
+
+
+class TestBesselAgainstScipy:
+    @pytest.mark.parametrize("kappa", SCIPY_KAPPAS)
+    def test_matches_ive(self, kappa):
+        orders = np.arange(2001)
+        scaled = ive(orders, kappa)
+        expected = scaled / scaled[0]
+        table = bessel_ratios(kappa, 2000).ratios
+        keep = expected >= 1e-290
+        np.testing.assert_allclose(table[keep], expected[keep], rtol=1e-12, atol=0.0)
+        assert np.all(table[~keep] < 1e-289)
+        assert bessel_ratio(kappa, 1) == pytest.approx(expected[1], rel=1e-12, abs=0.0)
+        assert i0e(kappa) == pytest.approx(scaled[0], rel=1e-12, abs=0.0)
+
+
+class TestBesselEdgeCases:
+    def test_zero_concentration(self):
+        assert i0e(0.0) == 1.0
+        assert bessel_ratio(0.0, 0) == 1.0
+        assert bessel_ratio(0.0, 1) == 0.0
+        assert bessel_ratio(0.0, 7) == 0.0
+        assert list(bessel_ratios(0.0, 4).ratios) == [1.0, 0.0, 0.0, 0.0, 0.0]
+
+    def test_smallest_subnormal_concentration(self):
+        kappa = 5e-324
+        assert i0e(kappa) == 1.0
+        assert 0.0 <= bessel_ratio(kappa, 1) <= kappa
+        table = bessel_ratios(kappa, 100).ratios
+        assert table[0] == 1.0
+        assert np.all((table[1:] >= 0.0) & (table[1:] <= kappa))
+
+    @pytest.mark.parametrize("kappa", [1e6, 1e9, 1e15])
+    def test_large_concentration(self, kappa):
+        # leading terms of the large-argument expansions
+        series = 1.0 + 1.0 / (8.0 * kappa) + 9.0 / (128.0 * kappa**2)
+        assert i0e(kappa) == pytest.approx(series / math.sqrt(2.0 * math.pi * kappa), rel=1e-14)
+        assert bessel_ratio(kappa, 1) == pytest.approx(
+            1.0 - 1.0 / (2.0 * kappa) - 1.0 / (8.0 * kappa**2), rel=1e-15
+        )
+
+    def test_large_concentration_table(self):
+        table = bessel_ratios(1e6, 3000).ratios
+        assert np.all(np.isfinite(table)) and np.all(np.diff(table) <= 0.0)
+        assert table[1] == pytest.approx(bessel_ratio(1e6, 1), rel=1e-15)
+        # I_j / I_0 ~ exp(-j^2 / (2 kappa)) for j << kappa
+        assert table[3000] == pytest.approx(math.exp(-(3000**2) / 2e6), rel=1e-2)
+
+    def test_order_zero(self):
+        table = bessel_ratios(3.0, 0)
+        assert table.max_order == 0
+        assert list(table.ratios) == [1.0]
+        assert bessel_ratio(3.0, 0) == 1.0
+
+    def test_asymptotic_switch_within_two_ulps(self):
+        t = _RATIO_ASYMPTOTIC_KAPPA
+        for kappa in (math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)):
+            exact = ratios_decimal(kappa, 1)[1]
+            assert abs(bessel_ratio(kappa, 1) - exact) <= 2.0 * math.ulp(exact), kappa
+
+    def test_table_entries_do_not_depend_on_its_length(self):
+        # cold caches both ways round: short table first, then long first
+        kappa = 3.7e4
+        _ratio_prefix.cache_clear()
+        short = bessel_ratios(kappa, 10).ratios
+        long = bessel_ratios(kappa, 9000).ratios
+        _ratio_prefix.cache_clear()
+        long_first = bessel_ratios(kappa, 9000).ratios
+        short_second = bessel_ratios(kappa, 10).ratios
+        assert np.array_equal(long, long_first)
+        assert np.array_equal(short, long[:11])
+        assert np.array_equal(short_second, short)
+
+    def test_tables_are_copies(self):
+        table = bessel_ratios(2.0, 5).ratios
+        table[1] = -1.0
+        assert bessel_ratios(2.0, 5).ratios[1] > 0.0
+
+    @pytest.mark.parametrize("kappa", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_concentrations(self, kappa):
+        with pytest.raises(ValueError):
+            i0e(kappa)
+        with pytest.raises(ValueError):
+            bessel_ratio(kappa, 1)
+        with pytest.raises(ValueError):
+            bessel_ratio(kappa, 3)
+        with pytest.raises(ValueError):
+            bessel_ratios(kappa, 3)
+
+    @pytest.mark.parametrize("order", [-1, 1.5, math.nan, math.inf, -2.0])
+    def test_rejects_bad_orders(self, order):
+        with pytest.raises(ValueError):
+            bessel_ratio(2.0, order)
+        with pytest.raises(ValueError):
+            bessel_ratios(2.0, order)
+
+
+class TestDilogarithm:
+    @pytest.mark.parametrize("x", [1e-300, -1e-300, 1e-10, -1e-10, 1e-6, -1e-6])
+    def test_small_arguments_keep_relative_accuracy(self, x):
+        assert polylog(2, x) == pytest.approx(x + x * x / 4.0 + x**3 / 9.0, rel=1e-15, abs=0.0)
+
+    # each branch, and both sides of the switches at -1/2 and 1/2
+    @pytest.mark.parametrize(
+        "x",
+        [-0.9, -0.75, math.nextafter(-0.5, -1.0), -0.5, -0.3, 0.1, 0.3, 0.5]
+        + [math.nextafter(0.5, 1.0), 0.6, 0.75, 0.9],
+    )
+    def test_matches_decimal_series(self, x):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            xd, power, total, k = Decimal(x), Decimal(x), Decimal(0), 1
+            while abs(power) > Decimal("1e-55"):
+                total += power / (k * k)
+                power *= xd
+                k += 1
+        assert polylog(2, x) == pytest.approx(float(total), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("x", [-1.0, -0.999999, -0.97, 0.97, 0.999999, 1.0 - 2.0**-30])
+    def test_matches_scipy_spence_near_the_ends(self, x):
+        assert polylog(2, x) == pytest.approx(float(spence(1.0 - x)), rel=1e-14, abs=0.0)
 
 
 class TestIntegrateCircle:
