@@ -53,6 +53,7 @@ from .mixture import (
     fit_em,
     mixture_density,
     mixture_fourier,
+    mixture_sample,
     psi_from_model,
     select_aic,
 )
@@ -132,6 +133,7 @@ __all__ = [
     "fit_em",
     "mixture_density",
     "mixture_fourier",
+    "mixture_sample",
     "psi_from_model",
     "select_aic",
     # selectors

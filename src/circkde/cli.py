@@ -20,13 +20,7 @@ import numpy as np
 
 from .estimators import CircularSample, DensityGrid, default_grid, kde_values
 from .kernels import KernelFamily, KernelSpec, wrap_angle
-from .selectors import (
-    SelectorConfig,
-    select_dpi,
-    select_lcv,
-    select_rt,
-    select_ste,
-)
+from .selectors import SELECTORS, SelectorConfig
 from .simulate import builtin_models, emit_table, run_monte_carlo
 
 __all__ = [
@@ -42,13 +36,6 @@ __all__ = [
     "cmd_simulate",
     "main",
 ]
-
-_SELECTORS = {
-    "rt": select_rt,
-    "dpi": select_dpi,
-    "ste": select_ste,
-    "lcv": select_lcv,
-}
 
 _MINUTES_PER_DAY = 1440.0
 
@@ -198,12 +185,17 @@ def _load_sample(ingest):
     return CircularSample.from_data(read_angles(ingest))
 
 
+def _selector(method):
+    try:
+        return SELECTORS[method]
+    except KeyError:
+        raise CliError("usage", f"unknown selector {method!r}", exit_code=2) from None
+
+
 def cmd_select(ingest, cfg, method):
     """Run the named selector on the ingested sample."""
-    if method not in _SELECTORS:
-        raise CliError("usage", f"unknown selector {method!r}", exit_code=2)
-    sample = _load_sample(ingest)
-    return _SELECTORS[method](sample, cfg)
+    select = _selector(method)
+    return select(_load_sample(ingest), cfg)
 
 
 def _spec_or_uniform(cfg, nu):
@@ -227,9 +219,7 @@ def cmd_density(ingest, cfg, method, grid_size=512, deriv_order=0, out_path=None
             raise CliError("usage", f"nu must be in [0, 1), got {nu}", exit_code=2)
         chosen_nu, method_label, fallback = float(nu), "forced", False
     else:
-        if method not in _SELECTORS:
-            raise CliError("usage", f"unknown selector {method!r}", exit_code=2)
-        sel = _SELECTORS[method](sample, cfg)
+        sel = _selector(method)(sample, cfg)
         chosen_nu, method_label, fallback = sel.nu, method, sel.fallback_uniform
 
     grid = default_grid(grid_size)
@@ -278,11 +268,10 @@ def cmd_modes(ingest, cfg, method):
     the estimate on a 2880-point grid (one per 30 seconds of clock time)
     are refined by bisection.
     """
-    if method not in _SELECTORS:
-        raise CliError("usage", f"unknown selector {method!r}", exit_code=2)
+    select = _selector(method)
     cfg = dataclasses.replace(cfg, r=1)
     sample = _load_sample(ingest)
-    sel = _SELECTORS[method](sample, cfg)
+    sel = select(sample, cfg)
     if sel.fallback_uniform or sel.nu == 0.0:
         return ModeReport(modes=(), antimodes=(), deriv_grid=None, uniform=True)
 
@@ -396,7 +385,7 @@ def _build_parser():
             p.add_argument("--column", default=None, help="CSV column name or index")
         p.add_argument("--kernel", default="vonmises", help="kernel family for the estimate")
         p.add_argument("--pilot-kernel", default="vonmises", help="pilot kernel family")
-        p.add_argument("--method", choices=sorted(_SELECTORS), default="dpi")
+        p.add_argument("--method", choices=sorted(SELECTORS), default="dpi")
         p.add_argument("--deriv-order", type=int, default=0)
         p.add_argument("--nstage", type=int, default=2)
         p.add_argument("--mmax", type=int, default=1)

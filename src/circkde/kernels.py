@@ -254,43 +254,50 @@ def _tail_rule(c, total, consec, rel_tol):
     return None, float(running[-1]), int(runs[-1])
 
 
-def _first_block(spec):
-    # von Mises: the orders where alpha_j ~ exp(-j^2 / 2 kappa) can still
-    # pass the tail rule, which is also the first span of its ratio table
-    if spec.family == KernelFamily.VONMISES:
-        return bessel_ratio_span(spec.kappa)
-    return 64
+def _tail_series(block_terms, first_block, trunc, what):
+    """Terms j = 1..J of a series, with J from the tail rule.
 
-
-@lru_cache(maxsize=4096)
-def _series_weights(spec, growth, power, trunc):
-    """Truncated coefficient array c_j = j^growth * alpha_j^power, j = 1..J.
-
-    Truncation follows the tail rule with the running sum of |c_j| as the
-    reference scale; raises ToleranceError when max_terms is exhausted.
-    Coefficients are asked for in blocks that double, starting from the
-    family's predicted length, so a von Mises kernel usually needs one.
+    ``block_terms(j0, hi)`` returns (terms, envelope) for the orders
+    j0..hi; the rule runs on the envelope, and the terms are kept up to
+    the order where it stops.  Blocks start at ``first_block`` orders and
+    double up to 4096.  Raises ToleranceError, naming ``what``, when
+    ``trunc.max_terms`` is exhausted.
     """
     out = []
     total = 0.0
     consec = 0
     j0 = 1
-    block = _first_block(spec)
+    block = first_block
     while j0 <= trunc.max_terms:
         hi = min(j0 + block - 1, trunc.max_terms)
-        js = np.arange(j0, hi + 1)
-        c = js.astype(float) ** growth * _alpha_block(spec, js) ** power
-        stop, total, consec = _tail_rule(c, total, consec, trunc.rel_tol)
+        terms, envelope = block_terms(j0, hi)
+        stop, total, consec = _tail_rule(envelope, total, consec, trunc.rel_tol)
         if stop is not None:
-            out.append(c[: stop + 1])
+            out.append(terms[: stop + 1])
             return np.concatenate(out)
-        out.append(c)
+        out.append(terms)
         j0 = hi + 1
         block = min(block * 2, 4096)
-    raise ToleranceError(
-        f"coefficient series for {spec.family.value} (growth={growth}, power={power}) "
-        f"did not fall below tolerance within {trunc.max_terms} terms"
-    )
+    raise ToleranceError(f"{what} did not fall below tolerance within {trunc.max_terms} terms")
+
+
+@lru_cache(maxsize=4096)
+def _series_weights(spec, growth, power, trunc):
+    """Truncated coefficient array c_j = j^growth * alpha_j^power, j = 1..J,
+    with the tail rule run on the c_j themselves."""
+
+    def block_terms(j0, hi):
+        js = np.arange(j0, hi + 1)
+        c = js.astype(float) ** growth * _alpha_block(spec, js) ** power
+        return c, c
+
+    # von Mises: the orders where alpha_j ~ exp(-j^2 / 2 kappa) can still
+    # pass the tail rule, which is also the first span of its ratio table,
+    # so one block usually suffices
+    vm = spec.family == KernelFamily.VONMISES
+    first_block = bessel_ratio_span(spec.kappa) if vm else 64
+    what = f"coefficient series for {spec.family.value} (growth={growth}, power={power})"
+    return _tail_series(block_terms, first_block, trunc, what)
 
 
 def derivative_weights(spec, deriv_order=0, trunc=None):

@@ -1,10 +1,13 @@
-"""Reference density: von Mises mixtures with a shared concentration.
+"""Von Mises mixtures: the reference density of the plug-in selectors and
+the truths of the Monte-Carlo zoo.
 
 The plug-in selectors need a rough parametric stand-in for the unknown
 density to start from.  This module fits an M-component von Mises mixture
 whose components share one concentration kappa, picks M by AIC, and
 computes the mixture's Fourier coefficients and density functionals
-psi_s = int f^(s) f analytically.
+psi_s = int f^(s) f analytically.  A model may also carry one
+concentration per component; density, coefficients, functionals and the
+sampler accept either form.
 
 Fitting is EM with seeded random restarts.  To make the fit equivariant
 under rotation of the data, initialization happens in a frame aligned with
@@ -17,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitError, ToleranceError
-from .kernels import FourierTruncation, _tail_rule, wrap_angle
+from .errors import FitError
+from .estimators import CircularSample
+from .kernels import FourierTruncation, _tail_series, wrap_angle
 from .special import bessel_ratio_span, bessel_ratios, i0e, inv_bessel_ratio
 
 __all__ = [
@@ -28,6 +32,7 @@ __all__ = [
     "select_aic",
     "mixture_density",
     "mixture_fourier",
+    "mixture_sample",
     "psi_from_model",
 ]
 
@@ -38,27 +43,39 @@ _PSI_TRUNCATION = FourierTruncation()
 
 @dataclass(frozen=True)
 class MixtureModel:
-    """Von Mises mixture with shared concentration."""
+    """Von Mises mixture.  ``kappa`` is one concentration shared by all
+    components (a float) or one per component (an array of length M)."""
 
     M: int
     mus: np.ndarray
-    kappa: float
+    kappa: float | np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.M < 1 or len(self.mus) != self.M or len(self.weights) != self.M:
+        mus = np.asarray(self.mus, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
+        kappa = np.asarray(self.kappa, dtype=float)
+        if self.M < 1 or mus.shape != (self.M,) or weights.shape != (self.M,):
             raise ValueError("component count must match means and weights")
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-        if np.any(self.weights < -1e-12) or abs(float(np.sum(self.weights)) - 1.0) > 1e-10:
+        if (kappa.ndim and kappa.shape != (self.M,)) or np.any(kappa < 0):
+            raise ValueError("kappa must be nonnegative, one value or one per component")
+        if np.any(weights < -1e-12) or abs(float(np.sum(weights)) - 1.0) > 1e-10:
             raise ValueError("weights must be nonnegative and sum to 1")
+        object.__setattr__(self, "mus", mus)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "kappa", kappa if kappa.ndim else float(kappa))
+
+    @property
+    def kappas(self):
+        """The concentration of each component, length M."""
+        return np.full(self.M, self.kappa) if np.ndim(self.kappa) == 0 else self.kappa
 
     def to_json(self):
         return json.dumps(
             {
                 "M": self.M,
                 "mus": [float(m) for m in self.mus],
-                "kappa": float(self.kappa),
+                "kappa": np.asarray(self.kappa).tolist(),
                 "weights": [float(w) for w in self.weights],
             }
         )
@@ -170,8 +187,8 @@ def fit_em(sample, M, seed=0, restarts=10, max_iter=500, tol=1e-8):
     model = MixtureModel(
         M=M,
         mus=wrap_angle(mus + frame),
-        kappa=float(kappa),
-        weights=np.asarray(weights, dtype=float),
+        kappa=kappa,
+        weights=weights,
     )
     return FitReport(
         model=model,
@@ -207,62 +224,72 @@ def select_aic(sample, M_max, seed=0, restarts=10):
 
 def mixture_density(model, theta):
     """Mixture density evaluated at scalar or array angles."""
-    scalar = np.isscalar(theta) or np.ndim(theta) == 0
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if model.kappa == 0.0:
-        out = np.full(th.shape, 1.0 / (2.0 * np.pi))
-    else:
-        comp = np.exp(model.kappa * (np.cos(th[:, None] - model.mus[None, :]) - 1.0))
-        comp /= 2.0 * np.pi * i0e(model.kappa)
-        out = comp @ model.weights
-    return float(out[0]) if scalar else out
+    th = np.asarray(theta, dtype=float)
+    kappas = model.kappas
+    # components along the first axis, so each ufunc loop runs over angles
+    comp = np.exp(kappas[:, None] * (np.cos(th.ravel() - model.mus[:, None]) - 1.0))
+    comp /= 2.0 * np.pi * np.array([[i0e(k)] for k in kappas])
+    out = (model.weights @ comp).reshape(th.shape)
+    return float(out) if th.ndim == 0 else out
 
 
-def _harmonics(model, js, ratios):
-    # rows (a_j, b_j) at the orders js, given I_j(kappa)/I_0(kappa) there
-    args = js[:, None] * model.mus[None, :]
-    a = (np.cos(args) * model.weights[None, :]).sum(axis=1) * ratios
-    b = (np.sin(args) * model.weights[None, :]).sum(axis=1) * ratios
-    return np.column_stack([a, b])
+def mixture_sample(model, rng, n):
+    """A CircularSample of n draws from the mixture: component labels, then
+    each component's von Mises draws, or one uniform draw if all kappa = 0."""
+    kappas = model.kappas
+    if not np.any(kappas):
+        return CircularSample.from_data(rng.uniform(-np.pi, np.pi, n))
+    comp = rng.choice(model.M, size=n, p=model.weights)
+    out = np.empty(n)
+    for m in range(model.M):
+        mask = comp == m
+        if mask.any():
+            out[mask] = rng.vonmises(model.mus[m], kappas[m], mask.sum())
+    return CircularSample.from_data(out)
+
+
+def _harmonics(model, j0, hi):
+    """Rows (a_j, b_j), j = j0..hi: for each group of components that
+    share a concentration kappa, their weighted phases times
+    I_j(kappa)/I_0(kappa).  Also returns those ratios for the largest
+    kappa, which bound the ratios of every other group."""
+    js = np.arange(j0, hi + 1)
+    groups = [(model.kappa, model.mus, model.weights)]
+    if np.ndim(model.kappa):
+        groups = [
+            (k, model.mus[model.kappa == k], model.weights[model.kappa == k])
+            for k in np.unique(model.kappa)
+        ]
+    out = 0.0
+    for kappa, mus, weights in groups:  # ascending kappa
+        args = js[:, None] * mus[None, :]
+        ratios = bessel_ratios(kappa, hi).ratios[j0:]
+        a = (np.cos(args) * weights[None, :]).sum(axis=1) * ratios
+        b = (np.sin(args) * weights[None, :]).sum(axis=1) * ratios
+        out = out + np.column_stack([a, b])
+    return out, ratios
 
 
 def mixture_fourier(model, J):
     """Cosine/sine coefficients of the mixture, rows (a_j, b_j), j = 1..J."""
     if J < 1:
         raise ValueError(f"J must be positive, got {J}")
-    return _harmonics(model, np.arange(1, J + 1), bessel_ratios(model.kappa, J).ratios[1:])
+    return _harmonics(model, 1, J)[0]
 
 
 def _psi_terms(model, s, trunc):
-    """The harmonic terms j^s (a_j^2 + b_j^2), j = 1..J, of psi_s for a
-    mixture with kappa > 0, with J from the tail rule on the envelope
-    j^s ratio_j^2.  Each block of orders reads one ratio table, and blocks
-    double from the kernel's predicted length."""
-    terms = []
-    envelope_total = 0.0
-    consec = 0
-    j0 = 1
-    block = bessel_ratio_span(model.kappa)
-    while j0 <= trunc.max_terms:
-        hi = min(j0 + block - 1, trunc.max_terms)
-        js = np.arange(j0, hi + 1)
-        ratios = bessel_ratios(model.kappa, hi).ratios[j0:]
-        coeffs = _harmonics(model, js, ratios)
-        powers = js.astype(float) ** s
-        vals = powers * (coeffs[:, 0] ** 2 + coeffs[:, 1] ** 2)
-        stop, envelope_total, consec = _tail_rule(
-            powers * ratios**2, envelope_total, consec, trunc.rel_tol
-        )
-        if stop is not None:
-            terms.append(vals[: stop + 1])
-            return np.concatenate(terms)
-        terms.append(vals)
-        j0 = hi + 1
-        block = min(block * 2, 4096)
-    raise ToleranceError(
-        f"mixture harmonic series for s={s}, kappa={model.kappa} "
-        f"did not fall below tolerance within {trunc.max_terms} terms"
-    )
+    """The harmonic terms j^s (a_j^2 + b_j^2), j = 1..J, of psi_s, with J
+    from the tail rule on the envelope j^s ratio_j(kappa_max)^2.  The
+    ratios grow with kappa, so the envelope bounds every component."""
+
+    def block_terms(j0, hi):
+        coeffs, ratios_max = _harmonics(model, j0, hi)
+        powers = np.arange(j0, hi + 1).astype(float) ** s
+        envelope = powers * ratios_max**2
+        return powers * (coeffs[:, 0] ** 2 + coeffs[:, 1] ** 2), envelope
+
+    what = f"mixture harmonic series for s={s}, kappa={model.kappa}"
+    return _tail_series(block_terms, bessel_ratio_span(model.kappas.max()), trunc, what)
 
 
 def psi_from_model(model, s, trunc=None):
@@ -270,14 +297,13 @@ def psi_from_model(model, s, trunc=None):
     Fourier basis: the harmonics contribute (-1)^(s/2) j^s (a_j^2+b_j^2)/pi.
 
     The stopping rule runs on the component-independent envelope
-    j^s ratio_j^2, which has no zeros, so symmetric mixtures whose odd
-    harmonics vanish are not cut off early.
+    j^s ratio_j(kappa_max)^2, which has no zeros for kappa_max > 0, so
+    symmetric mixtures whose odd harmonics vanish are not cut off early;
+    at kappa_max = 0 it is zero and stops the series after three terms.
     """
     if s < 0 or s % 2 != 0:
         raise ValueError(f"s must be even and nonnegative, got {s}")
     trunc = trunc or _PSI_TRUNCATION
     base = 1.0 / (2.0 * np.pi) if s == 0 else 0.0
-    if model.kappa == 0.0:
-        return base
     sign = -1.0 if s % 4 == 2 else 1.0
     return base + sign * math.fsum(_psi_terms(model, s, trunc)) / np.pi

@@ -57,6 +57,7 @@ __all__ = [
     "select_lcv",
     "select_gold",
     "default_gold_grid",
+    "SELECTORS",
 ]
 
 _PILOT_FAMILIES = (KernelFamily.VONMISES, KernelFamily.WRAPPEDNORMAL)
@@ -232,8 +233,14 @@ def _pilot_spec(cfg, pilot_h):
     )
 
 
+def _require_two(sample, what):
+    if sample.n < 2:
+        raise ValueError(f"{what} needs at least 2 observations")
+
+
 def select_rt(sample, cfg):
     """Rule of thumb: a one-component von Mises fit stands in for the truth."""
+    _require_two(sample, "the rule of thumb")
     trace = []
     try:
         report = fit_em(sample, 1, seed=cfg.seed)
@@ -271,6 +278,7 @@ def _dpi_h(sample, cfg, trace):
 
 def select_dpi(sample, cfg):
     """Multi-stage direct plug-in selection."""
+    _require_two(sample, "direct plug-in")
     trace = []
     try:
         h = _dpi_h(sample, cfg, trace)
@@ -329,6 +337,7 @@ def _ste_gamma_and_g(sample, cfg, trace):
 def select_ste(sample, cfg):
     """Solve-the-equation selection: the bandwidth is the fixed point of
     the plug-in formula with a bandwidth-dependent pilot."""
+    _require_two(sample, "solve-the-equation")
     trace = []
     try:
         gamma, gap = _ste_gamma_and_g(sample, cfg, trace)
@@ -496,8 +505,7 @@ def select_lcv(sample, cfg):
     Epanechnikov, whose cosine series never meets the truncation
     tolerance, sums its kernels directly.
     """
-    if sample.n < 2:
-        raise ValueError("cross-validation needs at least 2 observations")
+    _require_two(sample, "cross-validation")
     trace = []
     family, exact = cfg.kernel_family, cfg.exact_inversion
 
@@ -536,6 +544,15 @@ def select_lcv(sample, cfg):
         return _finalize(h_star, cfg, SelectorMethod.LCV, trace)
     except _SOFT_ERRORS:
         return _fallback(SelectorMethod.LCV, trace, "numeric-error")
+
+
+# the data-driven selectors by name; the gold standard also needs the truth
+SELECTORS = {
+    SelectorMethod.RT.value: select_rt,
+    SelectorMethod.DPI.value: select_dpi,
+    SelectorMethod.STE.value: select_ste,
+    SelectorMethod.LCV.value: select_lcv,
+}
 
 
 @lru_cache(maxsize=32)

@@ -11,20 +11,15 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .estimators import CircularSample, grid_ise
+from .estimators import grid_ise
 from .kernels import KernelSpec
-from .selectors import (
-    _SOFT_ERRORS,
-    SelectorConfig,
-    select_dpi,
-    select_gold,
-    select_lcv,
-    select_rt,
-    select_ste,
-)
+from .mixture import MixtureModel, mixture_density, mixture_sample
+from .selectors import _SOFT_ERRORS, SelectorConfig, select_gold
+from .selectors import SELECTORS as _SELECTOR_FNS
 
 __all__ = [
     "ModelSpec",
@@ -34,13 +29,6 @@ __all__ = [
     "run_monte_carlo",
     "emit_table",
 ]
-
-_SELECTOR_FNS = {
-    "rt": select_rt,
-    "dpi": select_dpi,
-    "ste": select_ste,
-    "lcv": select_lcv,
-}
 
 
 @dataclass(frozen=True)
@@ -80,56 +68,23 @@ class SimResult:
         }
 
 
-def _vm_mixture_model(name, weights, mus, kappas):
-    weights = np.asarray(weights, dtype=float)
-    mus = np.asarray(mus, dtype=float)
-    kappas = np.asarray(kappas, dtype=float)
-    norms = 2.0 * np.pi * np.i0(kappas)
-
-    def density(theta):
-        th = np.asarray(theta, dtype=float)
-        acc = np.zeros(th.shape)
-        for w, mu, kap, z in zip(weights, mus, kappas, norms):
-            acc += w * np.exp(kap * np.cos(th - mu)) / z
-        return acc
-
-    def sampler(rng, n):
-        comp = rng.choice(len(weights), size=n, p=weights)
-        out = np.empty(n)
-        for m in range(len(weights)):
-            mask = comp == m
-            k = int(mask.sum())
-            if k:
-                out[mask] = rng.vonmises(mus[m], kappas[m], k)
-        return CircularSample.from_data(out)
-
-    return ModelSpec(name=name, density=density, sampler=sampler)
-
-
-def _uniform_model():
-    height = 1.0 / (2.0 * np.pi)
-
-    def density(theta):
-        return np.full(np.shape(theta), height)
-
-    def sampler(rng, n):
-        return CircularSample.from_data(rng.uniform(-np.pi, np.pi, n))
-
-    return ModelSpec(name="U", density=density, sampler=sampler)
+def _mixture_model(name, weights, mus, kappa):
+    m = MixtureModel(len(weights), mus, kappa, weights)
+    return ModelSpec(
+        name=name, density=partial(mixture_density, m), sampler=partial(mixture_sample, m)
+    )
 
 
 def builtin_models():
-    """The benchmark zoo: uniform, one unimodal von Mises, two balanced
-    mixtures, and a skewed mixture."""
+    """The benchmark zoo: uniform (kappa = 0), one unimodal von Mises, two
+    balanced mixtures, and a skewed mixture with one kappa per component."""
     two_thirds = 2.0 * np.pi / 3.0
     return [
-        _uniform_model(),
-        _vm_mixture_model("VM2", [1.0], [0.0], [2.0]),
-        _vm_mixture_model("VM-MIX2", [0.5, 0.5], [0.0, np.pi], [8.0, 8.0]),
-        _vm_mixture_model(
-            "VM-MIX3", [1 / 3, 1 / 3, 1 / 3], [0.0, two_thirds, -two_thirds], [10.0, 10.0, 10.0]
-        ),
-        _vm_mixture_model("SKEW", [0.75, 0.25], [0.0, 1.5], [1.0, 6.0]),
+        _mixture_model("U", [1.0], [0.0], 0.0),
+        _mixture_model("VM2", [1.0], [0.0], 2.0),
+        _mixture_model("VM-MIX2", [0.5, 0.5], [0.0, np.pi], 8.0),
+        _mixture_model("VM-MIX3", [1 / 3, 1 / 3, 1 / 3], [0.0, two_thirds, -two_thirds], 10.0),
+        _mixture_model("SKEW", [0.75, 0.25], [0.0, 1.5], [1.0, 6.0]),
     ]
 
 

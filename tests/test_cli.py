@@ -10,10 +10,12 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from circkde import simulate
 from circkde.cli import (
     AngleFormat,
     CliError,
     IngestSpec,
+    _build_parser,
     angle_to_clock,
     cmd_density,
     cmd_modes,
@@ -24,7 +26,7 @@ from circkde.cli import (
 )
 from circkde.estimators import CircularSample, default_grid, kde_values
 from circkde.kernels import KernelFamily, KernelSpec
-from circkde.selectors import SelectorConfig
+from circkde.selectors import SELECTORS, SelectorConfig, SelectorMethod
 
 CRASH_CSV = str(resources.files("circkde") / "data" / "crash_times.csv")
 
@@ -382,3 +384,40 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["method"] == "rt"
+
+
+class TestSelectorTable:
+    """The CLI, the Monte-Carlo harness and the selector module share one
+    table of selector names."""
+
+    @staticmethod
+    def method_choices(command):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+        return set(next(a for a in sub._actions if a.dest == "method").choices)
+
+    @pytest.mark.parametrize("command", ["select", "density", "modes", "simulate"])
+    def test_method_choices_are_the_table(self, command):
+        assert self.method_choices(command) == set(SELECTORS)
+        assert set(SELECTORS) == {m.value for m in SelectorMethod} - {"gs"}
+
+    def test_simulate_uses_the_same_table(self):
+        assert simulate._SELECTOR_FNS is SELECTORS
+
+    def test_unknown_method_usage_error(self, tmp_path, capsys):
+        path = radians_file(tmp_path, vm_angles(0))
+        ingest = IngestSpec(path, AngleFormat.RADIANS)
+        for run in (
+            lambda: cmd_select(ingest, SelectorConfig(), "bogus"),
+            lambda: cmd_density(ingest, SelectorConfig(), "bogus"),
+            lambda: cmd_modes(ingest, SelectorConfig(), "bogus"),
+        ):
+            with pytest.raises(CliError) as info:
+                run()
+            assert info.value.exit_code == 2
+            assert info.value.payload()["error"]["type"] == "usage"
+        # argparse turns the name away before any command runs
+        with pytest.raises(SystemExit) as info:
+            main(["select", path, "--method", "bogus"])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -73,6 +73,99 @@ class TestMixtureModel:
         }
 
 
+    def test_list_inputs_become_float_arrays(self):
+        m = MixtureModel(1, [0.0], 1.0, [1.0])
+        assert isinstance(m.mus, np.ndarray) and m.mus.dtype == float
+        assert isinstance(m.weights, np.ndarray) and m.weights.dtype == float
+        assert m.kappa == 1.0 and isinstance(m.kappa, float)
+        per = MixtureModel(2, [0.0, 1.5], [1, 6], [0.75, 0.25])
+        assert per.kappa.dtype == float and per.kappa.tolist() == [1.0, 6.0]
+
+    def test_kappa_shape_and_sign(self):
+        with pytest.raises(ValueError):
+            MixtureModel(2, [0.0, 1.5], [1.0, 6.0, 2.0], [0.5, 0.5])
+        with pytest.raises(ValueError):
+            MixtureModel(2, [0.0, 1.5], [[1.0, 6.0]], [0.5, 0.5])
+        with pytest.raises(ValueError):
+            MixtureModel(2, [0.0, 1.5], [1.0, -6.0], [0.5, 0.5])
+
+
+class TestPerComponentKappa:
+    """A SKEW-like model with one concentration per component, against
+    quadrature of its density written out with scipy's I_0."""
+
+    MUS, KAPPAS, WEIGHTS = (0.0, 1.5), (1.0, 6.0), (0.75, 0.25)
+
+    def model(self):
+        return MixtureModel(2, self.MUS, self.KAPPAS, self.WEIGHTS)
+
+    @staticmethod
+    def integral(fn):
+        return quad(fn, -np.pi, np.pi, epsabs=1e-14, limit=200)[0]
+
+    def density(self, t):
+        return sum(
+            w * math.exp(k * math.cos(t - m)) / (2.0 * np.pi * i0(k))
+            for m, k, w in zip(self.MUS, self.KAPPAS, self.WEIGHTS)
+        )
+
+    def test_density_matches_closed_form(self):
+        m = self.model()
+        for t in np.linspace(-np.pi, np.pi, 13):
+            assert mixture_density(m, t) == pytest.approx(self.density(t), rel=1e-13)
+
+    def test_fourier_matches_quadrature(self):
+        m = self.model()
+        coeffs = mixture_fourier(m, 12)
+        for j in range(1, 13):
+            a = self.integral(lambda t: mixture_density(m, t) * math.cos(j * t))
+            b = self.integral(lambda t: mixture_density(m, t) * math.sin(j * t))
+            assert coeffs[j - 1, 0] == pytest.approx(a, abs=1e-12)
+            assert coeffs[j - 1, 1] == pytest.approx(b, abs=1e-12)
+
+    def test_roughness_matches_quadrature(self):
+        m = self.model()
+        target = self.integral(lambda t: mixture_density(m, t) ** 2)
+        assert psi_from_model(m, 0) == pytest.approx(target, rel=1e-10)
+
+        def deriv(t):
+            return sum(
+                -w * k * math.sin(t - mu) * math.exp(k * math.cos(t - mu)) / (2.0 * np.pi * i0(k))
+                for mu, k, w in zip(self.MUS, self.KAPPAS, self.WEIGHTS)
+            )
+
+        target = self.integral(lambda t: deriv(t) ** 2)
+        assert psi_from_model(m, 2) == pytest.approx(-target, rel=1e-10)
+
+    def test_zero_kappa_component(self):
+        m = MixtureModel(2, [0.0, 1.0], [0.0, 3.0], [0.5, 0.5])
+        assert self.integral(lambda t: mixture_density(m, t)) == pytest.approx(1.0, abs=1e-12)
+        target = self.integral(lambda t: mixture_density(m, t) ** 2)
+        assert psi_from_model(m, 0) == pytest.approx(target, rel=1e-10)
+
+    def test_shared_kappa_scalar_or_repeated(self):
+        mus, w = [0.2, 2.1, -1.7], [0.2, 0.5, 0.3]
+        scalar = MixtureModel(3, mus, 4.0, w)
+        repeated = MixtureModel(3, mus, [4.0, 4.0, 4.0], w)
+        t = np.linspace(-np.pi, np.pi, 33)
+        np.testing.assert_allclose(
+            mixture_density(repeated, t), mixture_density(scalar, t), rtol=1e-14
+        )
+        np.testing.assert_allclose(
+            mixture_fourier(repeated, 40), mixture_fourier(scalar, 40), rtol=1e-14, atol=0
+        )
+        for s in (0, 2, 4, 6):
+            assert psi_from_model(repeated, s) == pytest.approx(
+                psi_from_model(scalar, s), rel=1e-14
+            )
+
+    def test_json_kappa_form(self):
+        per = json.loads(self.model().to_json())
+        assert per["kappa"] == [1.0, 6.0]
+        shared = json.loads(MixtureModel(2, [0.0, 1.5], 3.0, [0.4, 0.6]).to_json())
+        assert shared["kappa"] == 3.0 and isinstance(shared["kappa"], float)
+
+
 class TestFitEm:
     def test_single_component_closed_form(self):
         rng = np.random.default_rng(42)

@@ -1052,3 +1052,49 @@ class TestSerialization:
     def test_trace_entry_defaults(self):
         t = TraceEntry(label="x")
         assert t.psi is None and t.pilot_h is None and t.pilot_nu is None
+
+
+class TestSmallSamples:
+    """Defined behaviour at the smallest sample sizes and on identical
+    angles, pinned to the values the selectors return."""
+
+    @pytest.mark.parametrize("name", ["rt", "dpi", "ste", "lcv"])
+    def test_single_angle_rejected_at_entry(self, name):
+        sample = CircularSample.from_data([0.3])
+        with pytest.raises(ValueError, match="at least 2 observations"):
+            selectors.SELECTORS[name](sample, SelectorConfig())
+
+    @pytest.mark.parametrize(
+        "name, nu",
+        [
+            ("rt", 0.9311134686542261),
+            ("dpi", 0.9571446224735707),
+            ("ste", 0.9867796380162247),
+            ("lcv", 0.6955189859995288),
+        ],
+    )
+    def test_two_distinct_angles(self, name, nu):
+        sel = selectors.SELECTORS[name](CircularSample.from_data([0.3, 1.1]), SelectorConfig())
+        assert not sel.fallback_uniform
+        assert sel.trace[-1].label == "final"
+        assert sel.nu == pytest.approx(nu, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 10])
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("rt", "reference-fit"), ("dpi", "cascade-error"), ("ste", "numeric-error")],
+    )
+    def test_identical_angles_fall_back(self, n, name, reason):
+        sel = selectors.SELECTORS[name](CircularSample.from_data([0.3] * n), SelectorConfig())
+        assert sel.fallback_uniform
+        assert sel.nu == 0.0 and sel.h == UNIFORM_BANDWIDTH
+        assert sel.trace[-1].label == f"fallback:{reason}"
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_identical_angles_lcv_takes_narrowest_grid_h(self, n):
+        sel = select_lcv(CircularSample.from_data([0.3] * n), SelectorConfig())
+        hs, _, _, _ = _lcv_table(VM, False)
+        assert not sel.fallback_uniform
+        assert sel.trace[-1].label == "final"
+        assert sel.trace[-1].pilot_h == pytest.approx(hs[0], rel=1e-12)
+        assert sel.nu == pytest.approx(0.999949998749875, rel=1e-9)

@@ -31,6 +31,74 @@ def model_by_name(name):
     return next(m for m in builtin_models() if m.name == name)
 
 
+def _frozen_vm_mixture(weights, mus, kappas):
+    """The zoo's former closure density and sampler, with their own np.i0
+    normalisers: the reference for the zoo built from MixtureModel."""
+    weights = np.asarray(weights, dtype=float)
+    mus = np.asarray(mus, dtype=float)
+    kappas = np.asarray(kappas, dtype=float)
+    norms = 2.0 * np.pi * np.i0(kappas)
+
+    def density(theta):
+        th = np.asarray(theta, dtype=float)
+        acc = np.zeros(th.shape)
+        for w, mu, kap, z in zip(weights, mus, kappas, norms):
+            acc += w * np.exp(kap * np.cos(th - mu)) / z
+        return acc
+
+    def sampler(rng, n):
+        comp = rng.choice(len(weights), size=n, p=weights)
+        out = np.empty(n)
+        for m in range(len(weights)):
+            mask = comp == m
+            k = int(mask.sum())
+            if k:
+                out[mask] = rng.vonmises(mus[m], kappas[m], k)
+        return CircularSample.from_data(out)
+
+    return density, sampler
+
+
+def _frozen_uniform():
+    def density(theta):
+        return np.full(np.shape(theta), 1.0 / (2.0 * np.pi))
+
+    def sampler(rng, n):
+        return CircularSample.from_data(rng.uniform(-np.pi, np.pi, n))
+
+    return density, sampler
+
+
+_TWO_THIRDS = 2.0 * np.pi / 3.0
+FROZEN_ZOO = {
+    "U": _frozen_uniform(),
+    "VM2": _frozen_vm_mixture([1.0], [0.0], [2.0]),
+    "VM-MIX2": _frozen_vm_mixture([0.5, 0.5], [0.0, np.pi], [8.0, 8.0]),
+    "VM-MIX3": _frozen_vm_mixture(
+        [1 / 3, 1 / 3, 1 / 3], [0.0, _TWO_THIRDS, -_TWO_THIRDS], [10.0, 10.0, 10.0]
+    ),
+    "SKEW": _frozen_vm_mixture([0.75, 0.25], [0.0, 1.5], [1.0, 6.0]),
+}
+
+
+class TestZooUnchanged:
+    @pytest.mark.parametrize("name", list(FROZEN_ZOO))
+    def test_samplers_draw_identical_angles(self, name):
+        model = model_by_name(name)
+        _, frozen = FROZEN_ZOO[name]
+        for seed in range(3):
+            for n in (1, 100, 2000):
+                got = model.sampler(np.random.default_rng(seed), n)
+                expect = frozen(np.random.default_rng(seed), n)
+                assert np.array_equal(got.angles, expect.angles), (seed, n)
+
+    @pytest.mark.parametrize("name", list(FROZEN_ZOO))
+    def test_densities_agree(self, name):
+        frozen, _ = FROZEN_ZOO[name]
+        t = np.linspace(-np.pi, np.pi, 257)
+        np.testing.assert_allclose(model_by_name(name).density(t), frozen(t), rtol=1e-14, atol=0)
+
+
 class TestBuiltinModels:
     def test_names(self):
         assert [m.name for m in builtin_models()] == [
