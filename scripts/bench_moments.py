@@ -1,7 +1,7 @@
 """Time the moment and kernel-sum layers on two source trees and write
-BENCH_moments.json.
+BENCH_moments.json (or the ``--out`` path).
 
-    python3 scripts/bench_moments.py --before OLD/src --after src
+    python3 scripts/bench_moments.py --before OLD/src --after src [--out FILE]
 
 Each tree is imported in its own interpreter with BLAS pinned to one
 thread.  For each n in SIZES, one VM-MIX3 sample is drawn and four calls
@@ -12,7 +12,10 @@ are timed, best of REPEATS:
   sample's LCV concentration (the sum over the data is direct; LCV, unlike
   DPI, never falls back to the uniform kernel on these samples);
 * ``select_ste`` and ``select_lcv`` with the default config, each on a
-  fresh CircularSample, so that the moments are included.
+  fresh CircularSample, so that the moments are included;
+* one analysis as in the ``large-n`` benchmark op: rt, dpi and ste on one
+  fresh CircularSample, then ``kde`` and ``kde_deriv`` (r = 1) on the
+  512-point grid at the DPI concentration.
 
 Then rt, dpi, ste and lcv run on every ``large-n`` benchmark pool sample
 (128 samples, n = 10 000, drawn by ``bench/workloads.py``) and every
@@ -39,7 +42,7 @@ OUT = os.path.join(ROOT, "BENCH_moments.json")
 _CHILD = r"""
 import json, sys, time
 import numpy as np
-from circkde.estimators import CircularSample, kde
+from circkde.estimators import CircularSample, kde, kde_deriv
 from circkde.kernels import KernelSpec
 from circkde import selectors as sel
 from circkde.simulate import builtin_models
@@ -61,6 +64,15 @@ def best(fn):
     return min(times)
 
 
+def analysis(angles):
+    sample = CircularSample.from_data(angles)
+    sel.select_rt(sample, cfg)
+    spec = KernelSpec.from_nu(cfg.kernel_family, sel.select_dpi(sample, cfg).nu)
+    sel.select_ste(sample, cfg)
+    kde(sample, spec)
+    kde_deriv(sample, spec, 1)
+
+
 def picks(angles):
     sample = CircularSample.from_data(angles)
     return [getattr(sel, f"select_{m}")(sample, cfg).nu for m in args["selectors"]]
@@ -77,6 +89,7 @@ for n in args["sizes"]:
         "kde_s": best(lambda: kde(sample, spec)),
         "select_ste_s": best(lambda: sel.select_ste(CircularSample.from_data(angles), cfg)),
         "select_lcv_s": best(lambda: sel.select_lcv(CircularSample.from_data(angles), cfg)),
+        "analysis_s": best(lambda: analysis(angles)),
     }
 out["pools"]["large-n"] = [
     picks(workloads.large_angles(k)) for k in range(workloads.LARGE_POOL)
@@ -105,6 +118,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", required=True, help="src directory of the old code")
     ap.add_argument("--after", required=True, help="src directory of the new code")
+    ap.add_argument("--out", default=OUT, help="report path (default: BENCH_moments.json)")
     opts = ap.parse_args(argv)
 
     before = _run(opts.before)
@@ -118,7 +132,9 @@ def main(argv=None):
         "what": (
             f"best-of-{REPEATS} wall time on one VM-MIX3 sample: trig_moments({MOMENT_ORDER}) "
             "on a fresh sample, kde on the 512-point grid (von Mises at the LCV "
-            "concentration), select_ste and select_lcv on a fresh sample, default config"
+            "concentration), select_ste and select_lcv on a fresh sample, and one "
+            "large-n-style analysis (rt, dpi, ste, kde and kde_deriv at the DPI "
+            "concentration on one fresh sample), default config"
         ),
         "machine": {
             "nproc": os.cpu_count(),
@@ -133,7 +149,7 @@ def main(argv=None):
         "worst_rel_nu_deviation": deviations,
         "date": time.strftime("%Y-%m-%d"),
     }
-    with open(OUT, "w") as fh:
+    with open(opts.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     print(json.dumps(report, indent=2))

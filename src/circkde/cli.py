@@ -343,6 +343,9 @@ def cmd_simulate(models, selectors, ns, replicates, seed=0, out_prefix=None, cfg
     unknown = [name for name in models if name not in zoo]
     if unknown:
         raise CliError("usage", f"unknown models {unknown}; have {sorted(zoo)}", exit_code=2)
+    for name in selectors:
+        if name != "gs":
+            _selector(name)
     results = []
     for name in models:
         for n in ns:
@@ -366,8 +369,17 @@ def cmd_simulate(models, selectors, ns, replicates, seed=0, out_prefix=None, cfg
     return csv_text, md_text
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are the CLI's JSON error object
+    on stderr, with exit code 2 as argparse's own."""
+
+    def error(self, message):
+        sys.stderr.write(json.dumps(CliError("usage", message).payload()) + "\n")
+        raise SystemExit(2)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circkde",
         description="Circular kernel density estimation with data-driven smoothing.",
     )

@@ -25,7 +25,10 @@ direct double sum available as a cross-checking mode.
 
 One moment engine serves every spectral path: _trig_parts builds the
 cos/sin basis of 64 consecutive orders from an exact rebase cos/sin(j0 Theta)
-and a table cos/sin(k Theta), k < 64, so no order costs its own cos and sin.
+and a table cos/sin(k Theta), k < 64, itself assembled from 8 fine and 8
+coarse orders, so no order costs its own cos and sin.  The direct von Mises
+density sum builds its exponent, exp and row mean in place and applies the
+kernel's normaliser once per row.
 """
 
 import json
@@ -43,7 +46,7 @@ from .kernels import (
     kernel_value,
     wrap_angle,
 )
-from .special import DEFAULT_QUADRATURE, integrate_circle
+from .special import DEFAULT_QUADRATURE, i0e, integrate_circle
 
 __all__ = [
     "CircularSample",
@@ -66,36 +69,60 @@ _CLOSED_DENSITY = _HALF_ANGLE_FAMILIES | {KernelFamily.WRAPPEDEPANECHNIKOV}
 # never meets the truncation tolerance, so its ISE is summed on the grid
 _DIRECT_ISE = {KernelFamily.WRAPPEDEPANECHNIKOV}
 
-# orders per rebase in _trig_parts, and the number of array elements a row
-# block of a kernel sum or basis may hold: 2^16 doubles (512 KB) keep a
-# block's temporaries in cache, which ran faster than 2^14 or 2^18
+# orders per rebase in _trig_parts and the width of its fine factor, and the
+# number of array elements a row block of a kernel sum or basis may hold:
+# 2^16 doubles (512 KB) keep a block's temporaries in cache, which ran faster
+# than 2^14 or 2^18
 _ORDERS = 64
+_FINE = 8
 _BLOCK_ELEMS = 1 << 16
+
+
+def _cos_sin(orders, angles):
+    """[cos k Theta; sin k Theta] for k in ``orders``, one row per order and
+    one column per angle: shape (2 len(orders), len(angles))."""
+    k = len(orders)
+    out = np.empty((2 * k, len(angles)))
+    args = np.multiply.outer(np.asarray(orders, dtype=float), angles)
+    np.cos(args, out=out[:k])
+    np.sin(args, out=out[k:])
+    return out
 
 
 def _trig_parts(angles, starts, width):
     """The two factors of the cos/sin basis of orders j0 + k, for j0 in
-    ``starts`` and k < ``width``, one row per angle: the exact rebase
-    [cos j0 Theta, sin j0 Theta], shape (len(angles), 2 len(starts)), and the
-    table [cos k Theta, sin k Theta], shape (len(angles), 2 width).  Angle
-    addition combines them:
+    ``starts`` and k < ``width``, laid out orders-major (one column per
+    angle): the exact rebase [cos j0 Theta; sin j0 Theta], shape
+    (2 len(starts), len(angles)), and the table [cos k Theta; sin k Theta],
+    shape (2 width, len(angles)).  Angle addition combines them:
 
         cos (j0 + k) Theta = cos j0 Theta cos k Theta - sin j0 Theta sin k Theta,
         sin (j0 + k) Theta = sin j0 Theta cos k Theta + cos j0 Theta sin k Theta.
 
-    Every factor is a single cos or sin evaluation, so the error does not
-    grow with the order the way a power recurrence's would.
+    The table is assembled the same way from k = 8q + r, a fine factor
+    cos/sin(r Theta), r < 8, and a coarse factor cos/sin(8q Theta), so a
+    64-order table costs 32 cos/sin evaluations per angle instead of 128;
+    the assembly runs along the contiguous angle axis.  Every factor is a
+    single cos or sin evaluation, so the error does not grow with the order
+    the way a power recurrence's would: a basis entry carries two rounded
+    angle additions on top of single evaluations.
     """
-    nb = len(starts)
-    rebase = np.empty((len(angles), 2 * nb))
-    args = np.multiply.outer(angles, starts.astype(float))
-    np.cos(args, out=rebase[:, :nb])
-    np.sin(args, out=rebase[:, nb:])
-    table = np.empty((len(angles), 2 * width))
-    args = np.multiply.outer(angles, np.arange(width, dtype=float))
-    np.cos(args, out=table[:, :width])
-    np.sin(args, out=table[:, width:])
-    return rebase, table
+    m = len(angles)
+    rebase = _cos_sin(starts, angles)
+    nr = min(_FINE, width)
+    nq = -(-width // _FINE)
+    fine = _cos_sin(np.arange(nr), angles)
+    coarse = _cos_sin(_FINE * np.arange(nq), angles)
+    fc, fs = fine[None, :nr], fine[None, nr:]
+    cc, cs = coarse[:nq, None], coarse[nq:, None]
+    table = np.empty((2, nq, nr, m))
+    tmp = np.multiply(cs, fs)
+    np.multiply(cc, fc, out=table[0])
+    table[0] -= tmp
+    np.multiply(cc, fs, out=tmp)
+    np.multiply(cs, fc, out=table[1])
+    table[1] += tmp
+    return rebase, table.reshape(2, nq * nr, m)[:, :width].reshape(2 * width, m)
 
 
 def default_grid(num=512):
@@ -110,11 +137,15 @@ class CircularSample:
     """A validated sample of angles, wrapped into [-pi, pi).
 
     Trigonometric moments are memoized on the instance because every
-    spectral evaluation against the same data reuses them.
+    spectral evaluation against the same data reuses them.  So are the
+    reference mixture fits of mixture.fit_em, keyed by all of its
+    arguments, because the rule of thumb, DPI and STE each start from the
+    same fit.
     """
 
     angles: np.ndarray
     _moments: dict = field(default_factory=dict, repr=False, compare=False)
+    _fits: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_data(cls, values):
@@ -151,7 +182,7 @@ class CircularSample:
             acc = np.zeros((2 * nb, 2 * width))
             for lo in range(0, self.n, rows):
                 rebase, table = _trig_parts(self.angles[lo : lo + rows], starts, width)
-                acc += rebase.T @ table
+                acc += rebase @ table.T
             # angle addition, summed over the sample
             new_c = (acc[:nb, :width] - acc[nb:, width:]).ravel()[: max_order - have]
             new_s = (acc[nb:, :width] + acc[:nb, width:]).ravel()[: max_order - have]
@@ -213,29 +244,44 @@ def _direct_sum(sample, spec, deriv_order, thetas):
     of about _BLOCK_ELEMS pairs.
 
     The von Mises, wrapped Cauchy and cardioid densities are functions of the
-    squared half chord s = |e^{ix} - e^{i Theta}|^2 / 4 = sin^2((x - Theta)/2),
+    squared chord q = |e^{ix} - e^{i Theta}|^2 = 4 sin^2((x - Theta)/2),
     taken from coordinates computed once per angle, so no pair needs a trig
-    call or an angle reduction.
+    call or an angle reduction.  The von Mises block is built in place as
+    exp(-(kappa/2) q), bit for bit the exponent -2 kappa s of
+    _half_angle_density at s = q/4, and its normaliser 1/(2 pi I0e(kappa))
+    is applied once per row mean instead of once per pair.
     """
     data = sample.angles
     n = sample.n
-    rows = max(1, _BLOCK_ELEMS // n)
+    rows = max(1, min(len(thetas), _BLOCK_ELEMS // n))
     chord = deriv_order == 0 and spec.family in _HALF_ANGLE_FAMILIES
+    vonmises = chord and spec.family == KernelFamily.VONMISES
     if chord:
         px, py = np.cos(thetas), np.sin(thetas)
         dx, dy = np.cos(data), np.sin(data)
+        q_buf, tmp_buf = np.empty((rows, n)), np.empty((rows, n))
     out = np.empty(len(thetas))
     for lo in range(0, len(thetas), rows):
         hi = min(lo + rows, len(thetas))
         if chord:
-            s = (px[lo:hi, None] - dx) ** 2
-            s += (py[lo:hi, None] - dy) ** 2
-            s *= 0.25
-            vals = _half_angle_density(spec, s)
+            q, tmp = q_buf[: hi - lo], tmp_buf[: hi - lo]
+            np.subtract(px[lo:hi, None], dx, out=q)
+            np.square(q, out=q)
+            np.subtract(py[lo:hi, None], dy, out=tmp)
+            np.square(tmp, out=tmp)
+            q += tmp
+            if vonmises:
+                q *= -0.5 * spec.kappa
+                vals = np.exp(q, out=q)
+            else:
+                q *= 0.25
+                vals = _half_angle_density(spec, q)
         else:
             diffs = thetas[lo:hi, None] - data[None, :]
             vals = kernel_value(spec, diffs.ravel(), deriv_order).reshape(hi - lo, n)
         out[lo:hi] = vals.mean(axis=1)
+    if vonmises:
+        out /= 2.0 * np.pi * i0e(spec.kappa)
     return out
 
 
@@ -268,12 +314,12 @@ def _spectral_sum(sample, weights, deriv_order, thetas):
     rows = max(1, _BLOCK_ELEMS // (nb * width))
     for lo in range(0, len(thetas), rows):
         rebase, table = _trig_parts(thetas[lo : lo + rows], starts, width)
-        rc, rs = rebase[:, :nb, None], rebase[:, nb:, None]
-        tc, ts = table[:, None, :width], table[:, None, width:]
-        m = len(table)
-        cos = (rc * tc - rs * ts).reshape(m, nb * width)
-        sin = (rs * tc + rc * ts).reshape(m, nb * width)
-        out[lo : lo + rows] += (cos @ vc + sin @ vs) / (np.pi * sample.n)
+        rc, rs = rebase[:nb, None], rebase[nb:, None]
+        tc, ts = table[None, :width], table[None, width:]
+        m = table.shape[1]
+        cos = (rc * tc - rs * ts).reshape(nb * width, m)
+        sin = (rs * tc + rc * ts).reshape(nb * width, m)
+        out[lo : lo + rows] += (cos.T @ vc + sin.T @ vs) / (np.pi * sample.n)
     return out
 
 

@@ -65,6 +65,16 @@ class MixtureModel:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "kappa", kappa if kappa.ndim else float(kappa))
 
+    def __eq__(self, other):
+        """Same M and the same means, weights and kappa, elementwise; a
+        shared kappa does not equal a per-component array of it."""
+        if not isinstance(other, MixtureModel):
+            return NotImplemented
+        return self.M == other.M and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("mus", "weights", "kappa")
+        )
+
     @property
     def kappas(self):
         """The concentration of each component, length M."""
@@ -151,9 +161,14 @@ def fit_em(sample, M, seed=0, restarts=10, max_iter=500, tol=1e-8):
 
     Initialization and all randomness are derived from ``seed``; the first
     restart uses plain sample quantiles as means, later ones jitter them.
+    The report is memoized on the sample under every argument, with
+    read-only arrays, so the selectors that share a sample run EM once.
     """
     if M < 1:
         raise ValueError(f"M must be positive, got {M}")
+    key = (M, seed, restarts, max_iter, tol)
+    if key in sample._fits:
+        return sample._fits[key]
     n = sample.n
     if n < 2 * M:
         raise ValueError(f"need at least {2 * M} observations to fit M={M}")
@@ -190,7 +205,10 @@ def fit_em(sample, M, seed=0, restarts=10, max_iter=500, tol=1e-8):
         kappa=kappa,
         weights=weights,
     )
-    return FitReport(
+    # the report is shared by every later call with these arguments
+    model.mus.setflags(write=False)
+    model.weights.setflags(write=False)
+    report = FitReport(
         model=model,
         loglik=float(ll),
         aic=-2.0 * float(ll) + 2.0 * (2 * M),
@@ -198,6 +216,8 @@ def fit_em(sample, M, seed=0, restarts=10, max_iter=500, tol=1e-8):
         converged=converged,
         loglik_path=tuple(path),
     )
+    sample._fits[key] = report
+    return report
 
 
 def select_aic(sample, M_max, seed=0, restarts=10):

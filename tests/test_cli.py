@@ -354,6 +354,20 @@ class TestSimulateCommand:
         with pytest.raises(CliError):
             cmd_simulate(["NOPE"], ["rt"], [30], 2)
 
+    def test_unknown_selector_usage_error(self, capsys):
+        with pytest.raises(CliError) as info:
+            cmd_simulate(["U"], ["rt", "bogus"], [20], 1)
+        assert info.value.exit_code == 2
+        assert info.value.payload()["error"]["type"] == "usage"
+        argv = ["simulate", "--models", "U", "--selectors", "bogus", "--replicates", "1", "--n", "20"]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "usage" and "bogus" in err["message"]
+
+    def test_gold_standard_selector_allowed(self):
+        csv_text, _ = cmd_simulate(["U"], ["gs"], [20], 1, seed=4)
+        assert csv_text.splitlines()[0].split(",")[:2] == ["model", "gs"]
+
     def test_writes_csv_and_markdown(self, tmp_path):
         cmd_simulate(["U"], ["rt"], [30], 2, seed=3, out_prefix=str(tmp_path / "sim"))
         assert (tmp_path / "sim.csv").exists()
@@ -374,6 +388,27 @@ class TestExitCodes:
         code = main(["select", "/definitely/missing.txt"])
         assert code != 0
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "io"
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["select", "{path}", "--method", "bogus"], "invalid choice"),
+            (["select", "{path}", "--no-such-flag"], "unrecognized arguments"),
+            (["select"], "required"),
+            (["density", "{path}", "--grid-size", "many"], "invalid int value"),
+            ([], "required"),
+        ],
+    )
+    def test_usage_errors_are_json(self, tmp_path, capsys, argv, needle):
+        path = radians_file(tmp_path, vm_angles(0, n=20))
+        with pytest.raises(SystemExit) as info:
+            main([a.format(path=path) for a in argv])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "usage"
+        assert needle in err["message"]
 
     def test_console_script_runs(self, tmp_path):
         path = radians_file(tmp_path, vm_angles(0, n=50))

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ive
 
@@ -138,6 +140,27 @@ class TestDirectSums:
         normal = ref >= np.finfo(float).tiny
         np.testing.assert_allclose(got[normal], ref[normal], rtol=1e-11)
         np.testing.assert_allclose(got[~normal], ref[~normal], rtol=0, atol=np.finfo(float).tiny)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.floats(-3.0, 6.0),
+        st.integers(1, 10_000),
+        st.floats(-np.pi, np.pi),
+        st.floats(0.0, 50.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_von_mises_rows_match_long_double(self, log_kappa, n, mu, spread, seed):
+        # the fused von Mises block: exponent, exp and row mean in place,
+        # the normaliser once per row
+        rng = np.random.default_rng(seed)
+        s = CircularSample.from_data(rng.vonmises(mu, spread, n))
+        spec = KernelSpec.vonmises(kappa=10.0**log_kappa)
+        seam = [-np.pi, np.nextafter(-np.pi, 0.0), np.nextafter(np.pi, 0.0), np.pi]
+        points = np.concatenate([default_grid(24), seam, s.angles[:4] + 1e-4, [mu]])
+        ref = longdouble_kde(spec, s.angles, points)
+        got = kde_values(s, spec, points)
+        near = ref >= 1e-12 * ref.max()
+        np.testing.assert_allclose(got[near], ref[near], rtol=1e-12)
 
     def test_row_blocks_match_one_point_sums(self):
         # n = 5000: every row block holds many grid points, and each row mean

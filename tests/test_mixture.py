@@ -14,6 +14,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import i0
 
+from circkde import mixture
 from circkde.errors import FitError, ToleranceError
 from circkde.estimators import CircularSample
 from circkde.kernels import FourierTruncation
@@ -28,7 +29,10 @@ from circkde.mixture import (
     psi_from_model,
     select_aic,
 )
+from circkde.selectors import SelectorConfig, select_dpi, select_rt, select_ste
 from circkde.special import bessel_ratios, inv_bessel_ratio
+
+em_once = mixture._em_once
 
 
 def two_component_sample(n, seed, mus=(0.0, np.pi), kappa=8.0, w=0.5):
@@ -61,6 +65,26 @@ class TestMixtureModel:
             MixtureModel(1, np.array([0.0]), -1.0, np.array([1.0]))
         with pytest.raises(ValueError):
             MixtureModel(2, np.array([0.0, 1.0]), 1.0, np.array([0.7, 0.7]))
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    def test_equality(self, M):
+        mus = np.linspace(-1.0, 2.0, M)
+        weights = np.full(M, 1.0 / M)
+        kappas = np.arange(1.0, M + 1.0)
+        shared = MixtureModel(M, mus, 3.0, weights)
+        per = MixtureModel(M, mus, kappas, weights)
+        assert shared == MixtureModel(M, list(mus), 3.0, list(weights))
+        assert per == MixtureModel(M, mus.copy(), kappas.copy(), weights.copy())
+        assert shared != MixtureModel(M, mus + 0.1, 3.0, weights)
+        assert shared != MixtureModel(M, mus, 3.5, weights)
+        assert per != MixtureModel(M, mus, kappas + 1.0, weights)
+        # a shared kappa is not the same model as an array repeating it
+        assert shared != MixtureModel(M, mus, np.full(M, 3.0), weights)
+        assert shared != per
+        if M > 1:
+            assert shared != MixtureModel(M, mus, 3.0, np.r_[0.7, np.full(M - 1, 0.3 / (M - 1))])
+        assert shared != MixtureModel(M + 1, np.r_[mus, 0.0], 3.0, np.full(M + 1, 1.0 / (M + 1)))
+        assert shared != "not a model"
 
     def test_json_schema(self):
         m = MixtureModel(2, np.array([0.0, 1.5]), 3.0, np.array([0.4, 0.6]))
@@ -243,6 +267,50 @@ class TestFitEm:
         sample = CircularSample.from_data(np.full(10, 0.3))
         with pytest.raises(FitError):
             fit_em(sample, 1, seed=0)
+
+
+class TestFitMemo:
+    """fit_em keeps its report on the sample, keyed by every argument."""
+
+    @staticmethod
+    def _count_em(monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return em_once(*args, **kwargs)
+
+        monkeypatch.setattr(mixture, "_em_once", counted)
+        return calls
+
+    def test_selectors_on_one_sample_fit_once(self, monkeypatch):
+        calls = self._count_em(monkeypatch)
+        sample = two_component_sample(300, seed=21)
+        cfg = SelectorConfig()
+        for select in (select_rt, select_dpi, select_ste):
+            select(sample, cfg)
+        assert calls == [1]
+        select_rt(two_component_sample(300, seed=21), cfg)
+        assert calls == [1, 1]
+
+    def test_other_arguments_refit(self, monkeypatch):
+        calls = self._count_em(monkeypatch)
+        sample = two_component_sample(300, seed=22)
+        first = fit_em(sample, 2, seed=0)
+        assert fit_em(sample, 2, seed=0) is first
+        n_first = len(calls)
+        fit_em(sample, 2, seed=1)
+        assert len(calls) == 2 * n_first
+        fit_em(sample, 1, seed=0)
+        fit_em(sample, 2, seed=0, tol=1e-10)
+        assert len(calls) == 2 * n_first + 1 + n_first
+        assert fit_em(sample, 2, seed=1) is not first
+
+    def test_report_arrays_are_read_only(self):
+        report = fit_em(two_component_sample(100, seed=23), 2, seed=0)
+        for arr in (report.model.mus, report.model.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestSelectAic:

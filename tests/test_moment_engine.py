@@ -60,6 +60,16 @@ class TestMomentEngine:
             err = float(np.max(np.abs(got - ref)))
             assert err <= 2.0 * float(np.max(np.abs(loop - ref))) + 1e-14 * s.n
 
+    def test_more_than_64_rebases(self):
+        # J = 4200 needs 66 rebase starts of 64 orders, the last one partial
+        s = rng_sample(300, seed=8)
+        C, S = s.trig_moments(4200)
+        Cr, Sr = longdouble_moments(s.angles, 4200)
+        Cl, Sl = loop_moments(s.angles, 4200)
+        for got, loop, ref in ((C, Cl, Cr), (S, Sl, Sr)):
+            err = float(np.max(np.abs(got - ref)))
+            assert err <= 2.0 * float(np.max(np.abs(loop - ref))) + 1e-14 * s.n
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(ANGLE_LISTS, st.lists(st.integers(1, 150), min_size=1, max_size=6))
     def test_extension_keeps_prefix_bit_identical(self, angles, steps):
