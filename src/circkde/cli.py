@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FitError, ToleranceError
 from .estimators import CircularSample, DensityGrid, default_grid, kde_values
 from .kernels import KernelFamily, KernelSpec, wrap_angle
 from .selectors import SELECTORS, SelectorConfig
 from .simulate import builtin_models, emit_table, run_monte_carlo
+from .special import find_root
 
 __all__ = [
     "AngleFormat",
@@ -202,7 +204,7 @@ def _spec_or_uniform(cfg, nu):
     return None if nu == 0.0 else KernelSpec.from_nu(cfg.kernel_family, nu)
 
 
-def _estimate_on_grid(sample, cfg, spec, grid, deriv_order):
+def _estimate_on_grid(sample, spec, grid, deriv_order):
     if spec is None:
         if deriv_order == 0:
             return np.full(len(grid), 1.0 / (2.0 * np.pi))
@@ -224,7 +226,7 @@ def cmd_density(ingest, cfg, method, grid_size=512, deriv_order=0, out_path=None
 
     grid = default_grid(grid_size)
     spec = _spec_or_uniform(cfg, chosen_nu)
-    values = _estimate_on_grid(sample, cfg, spec, grid, deriv_order)
+    values = _estimate_on_grid(sample, spec, grid, deriv_order)
 
     buf = io.StringIO()
     buf.write("# circkde density estimate\n")
@@ -247,26 +249,12 @@ def cmd_density(ingest, cfg, method, grid_size=512, deriv_order=0, out_path=None
     return text
 
 
-def _refine_crossing(fn, lo, hi, f_lo, tol=1e-6):
-    # plain bisection; the bracket comes from a sign change on the grid
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo > 0) == (f_mid > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def cmd_modes(ingest, cfg, method):
     """Locate modes and antimodes from the derivative estimate.
 
     The smoothing is selected for the first derivative; sign changes of
     the estimate on a 2880-point grid (one per 30 seconds of clock time)
-    are refined by bisection.
+    are refined to 1e-6 rad by find_root from the grid values.
     """
     select = _selector(method)
     cfg = dataclasses.replace(cfg, r=1)
@@ -302,7 +290,7 @@ def cmd_modes(ingest, cfg, method):
         if max(abs(a), abs(b)) < floor:
             continue
         lo = grid[i]
-        root = float(wrap_angle(_refine_crossing(deriv_at, lo, lo + step, a)))
+        root = float(wrap_angle(find_root(deriv_at, lo, lo + step, tol=1e-6, g_lo=a, g_hi=b)))
         crossings.append((root, "mode" if a > 0 else "anti"))
     if not crossings:
         return ModeReport(modes=(), antimodes=(), deriv_grid=dg, uniform=True)
@@ -426,12 +414,12 @@ def _build_parser():
     return parser
 
 
-def _config_from_args(args, r_override=None):
+def _config_from_args(args):
     try:
         return SelectorConfig(
             kernel_family=KernelFamily(args.kernel),
             pilot_family=KernelFamily(args.pilot_kernel),
-            r=args.deriv_order if r_override is None else r_override,
+            r=args.deriv_order,
             nstage=args.nstage,
             M_max=args.mmax,
             exact_inversion=args.exact_inversion,
@@ -450,6 +438,11 @@ def _emit(text, out_path):
             fh.write(text)
     except OSError as exc:
         raise CliError("io", f"cannot write {out_path}: {exc}")
+
+
+# failures of the numbers, reported as the JSON error object with exit 1;
+# any other exception is a bug and propagates with its traceback
+_NUMERIC_ERRORS = (ValueError, ArithmeticError, ToleranceError, FitError)
 
 
 def main(argv=None):
@@ -495,7 +488,7 @@ def main(argv=None):
     except CliError as exc:
         sys.stderr.write(json.dumps(exc.payload()) + "\n")
         return exc.exit_code
-    except Exception as exc:  # anything else is a hard error, still structured
+    except _NUMERIC_ERRORS as exc:
         sys.stderr.write(
             json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n"
         )

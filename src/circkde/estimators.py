@@ -38,7 +38,6 @@ import numpy as np
 
 from .kernels import (
     _HALF_ANGLE_FAMILIES,
-    DEFAULT_TRUNCATION,
     KernelFamily,
     KernelSpec,
     _half_angle_density,
@@ -46,7 +45,7 @@ from .kernels import (
     kernel_value,
     wrap_angle,
 )
-from .special import DEFAULT_QUADRATURE, i0e, integrate_circle
+from .special import i0e, integrate_circle
 
 __all__ = [
     "CircularSample",
@@ -323,7 +322,7 @@ def _spectral_sum(sample, weights, deriv_order, thetas):
     return out
 
 
-def kde_values(sample, kernel, points, deriv_order=0, trunc=None):
+def kde_values(sample, kernel, points, deriv_order=0):
     """Raw estimator values at arbitrary angles (no ordering required).
 
     The density (deriv_order 0) of a closed-form family and any wrapped
@@ -332,7 +331,6 @@ def kde_values(sample, kernel, points, deriv_order=0, trunc=None):
     cosine series on the sample's moments, accurate to about 1e-12 of the
     peak.  The uniform kernel (nu = 0) gives its constant.
     """
-    trunc = trunc or DEFAULT_TRUNCATION
     points = np.asarray(points, dtype=float)
     if sample.n < 1:
         raise ValueError("sample must contain at least one angle")
@@ -346,7 +344,7 @@ def kde_values(sample, kernel, points, deriv_order=0, trunc=None):
         direct = kernel.family == KernelFamily.WRAPPEDEPANECHNIKOV
     if direct:
         return _direct_sum(sample, kernel, deriv_order, points)
-    weights = derivative_weights(kernel, deriv_order, trunc)
+    weights = derivative_weights(kernel, deriv_order)
     return _spectral_sum(sample, weights, deriv_order, points)
 
 
@@ -361,24 +359,24 @@ def _kde_rows(sample, kernels, points, weights=None):
     return np.array([uniform if k is None else kde_values(sample, k, points) for k in kernels])
 
 
-def kde(sample, kernel, thetas=None, trunc=None):
+def kde(sample, kernel, thetas=None):
     """Kernel density estimate: the average of kernels centered at the
     observations, evaluated over a grid (default 512 equispaced points)."""
     thetas = default_grid() if thetas is None else np.asarray(thetas, dtype=float)
-    values = kde_values(sample, kernel, thetas, 0, trunc)
+    values = kde_values(sample, kernel, thetas, 0)
     return DensityGrid(thetas, values, 0, sample=sample, kernel=kernel)
 
 
-def kde_deriv(sample, kernel, deriv_order, thetas=None, trunc=None):
+def kde_deriv(sample, kernel, deriv_order, thetas=None):
     """Estimate of the density derivative of the given order (>= 1)."""
     if deriv_order < 1:
         raise ValueError(f"deriv_order must be >= 1, got {deriv_order}")
     thetas = default_grid() if thetas is None else np.asarray(thetas, dtype=float)
-    values = kde_values(sample, kernel, thetas, deriv_order, trunc)
+    values = kde_values(sample, kernel, thetas, deriv_order)
     return DensityGrid(thetas, values, deriv_order, sample=sample, kernel=kernel)
 
 
-def psi_hat(sample, pilot, s, method="spectral", trunc=None):
+def psi_hat(sample, pilot, s, method="spectral"):
     """Estimate of psi_s = int f^(s) f at pilot kernel L.
 
     This is the full double sum n^-2 sum_i sum_j L^(s)(Theta_i - Theta_j),
@@ -390,7 +388,6 @@ def psi_hat(sample, pilot, s, method="spectral", trunc=None):
         raise ValueError("psi_hat needs a sample of at least 2 angles")
     if s < 0 or s % 2 != 0:
         raise ValueError(f"s must be even and nonnegative, got {s}")
-    trunc = trunc or DEFAULT_TRUNCATION
     n = sample.n
     base = 1.0 / (2.0 * np.pi) if s == 0 else 0.0
     if method == "pairwise":
@@ -401,7 +398,7 @@ def psi_hat(sample, pilot, s, method="spectral", trunc=None):
             total += float(np.sum(kernel_value(pilot, diffs.ravel(), s)))
         value = total / n**2
     elif method == "spectral":
-        weights = derivative_weights(pilot, s, trunc)
+        weights = derivative_weights(pilot, s)
         J = len(weights)
         C, S = sample.trig_moments(J)
         power = C * C + S * S
@@ -423,9 +420,10 @@ def _periodic_interp(thetas, values):
     return fn
 
 
-def ise(est, truth, cfg=None):
+def ise(est, truth):
     """Integrated squared error between a density estimate and a known
-    density, by adaptive quadrature.
+    density, by adaptive quadrature: integrate_circle at its default
+    tolerances (special.DEFAULT_QUADRATURE).
 
     When the grid carries its sample and kernel the estimate is
     re-evaluated exactly at the quadrature nodes; otherwise the grid is
@@ -433,7 +431,6 @@ def ise(est, truth, cfg=None):
     """
     if est.deriv_order != 0:
         raise ValueError("ise is defined for density estimates, not derivatives")
-    cfg = cfg or DEFAULT_QUADRATURE
     if est.sample is not None and est.kernel is not None:
         sample, kernel = est.sample, est.kernel
 
@@ -446,7 +443,7 @@ def ise(est, truth, cfg=None):
         def fhat(t):
             return float(interp(t))
 
-    value = integrate_circle(lambda t: (fhat(t) - truth(t)) ** 2, cfg)
+    value = integrate_circle(lambda t: (fhat(t) - truth(t)) ** 2)
     return max(value, 0.0)
 
 

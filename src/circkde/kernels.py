@@ -300,23 +300,22 @@ def _series_weights(spec, growth, power, trunc):
     return _tail_series(block_terms, first_block, trunc, what)
 
 
-def derivative_weights(spec, deriv_order=0, trunc=None):
+def derivative_weights(spec, deriv_order=0):
     """Truncated array of cosine-series weights j^r * alpha_j for j = 1..J,
     with J chosen by the tail rule.  These drive the spectral evaluation of
     the estimators: a sum of kernels collapses onto the sample's trigonometric
     moments with exactly these weights."""
     if deriv_order < 0:
         raise ValueError(f"deriv_order must be nonnegative, got {deriv_order}")
-    return _series_weights(spec, deriv_order, 1, trunc or DEFAULT_TRUNCATION)
+    return _series_weights(spec, deriv_order, 1, DEFAULT_TRUNCATION)
 
 
-def bandwidth(spec, trunc=None):
+def bandwidth(spec):
     """Bandwidth functional h(nu) = int_{-pi}^{pi} theta^2 K_nu(theta) dtheta.
 
     Equals pi^2/3 + 4 sum_j (-1)^j alpha_j / j^2; closed forms are used for
     the families that admit them.
     """
-    trunc = trunc or DEFAULT_TRUNCATION
     fam = spec.family
     if spec.nu == 0.0:
         return UNIFORM_BANDWIDTH
@@ -326,7 +325,7 @@ def bandwidth(spec, trunc=None):
         return UNIFORM_BANDWIDTH - 4.0 * spec.nu
     if fam == KernelFamily.WRAPPEDEPANECHNIKOV:
         return spec.lam**2 / 5.0
-    weights = _series_weights(spec, -2, 1, trunc)
+    weights = _series_weights(spec, -2, 1, DEFAULT_TRUNCATION)
     js = np.arange(1, len(weights) + 1)
     return UNIFORM_BANDWIDTH + 4.0 * float(np.sum((-1.0) ** js * weights))
 
@@ -429,9 +428,9 @@ def kernel_constants(family, deriv_order):
     )
 
 
-def _exact_solve_vonmises(h, trunc):
+def _exact_solve_vonmises(h):
     def gap(kappa):
-        return bandwidth(KernelSpec.vonmises(kappa=kappa), trunc) - h
+        return bandwidth(KernelSpec.vonmises(kappa=kappa)) - h
 
     hi = max(2.0 / h, 1.0)
     while gap(hi) > 0:
@@ -442,9 +441,9 @@ def _exact_solve_vonmises(h, trunc):
     return KernelSpec.vonmises(kappa=kappa)
 
 
-def _exact_solve_in_nu(family, h, trunc):
+def _exact_solve_in_nu(family, h):
     def gap(nu):
-        return bandwidth(KernelSpec.from_nu(family, nu), trunc) - h
+        return bandwidth(KernelSpec.from_nu(family, nu)) - h
 
     lo, hi = 0.0, 0.9
     while gap(hi) > 0:
@@ -455,7 +454,7 @@ def _exact_solve_in_nu(family, h, trunc):
     return KernelSpec.from_nu(family, nu)
 
 
-def concentration_from_bandwidth(family, h, exact=False, trunc=None):
+def concentration_from_bandwidth(family, h, exact=False):
     """Invert the bandwidth functional: find the kernel with bandwidth h.
 
     The default route uses the family's large-concentration inversion
@@ -467,7 +466,6 @@ def concentration_from_bandwidth(family, h, exact=False, trunc=None):
     family's reachable range) return UNIFORM_FALLBACK.
     """
     family = KernelFamily(family)
-    trunc = trunc or DEFAULT_TRUNCATION
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
     if h >= UNIFORM_BANDWIDTH:
@@ -494,11 +492,11 @@ def concentration_from_bandwidth(family, h, exact=False, trunc=None):
                 return UNIFORM_FALLBACK
             return KernelSpec.wrapped_normal((1.0 - 2.0 * h) ** 0.25)
         # no published asymptotic inversion for the wrapped Cauchy
-        return _exact_solve_in_nu(family, h, trunc)
+        return _exact_solve_in_nu(family, h)
 
     if family == KernelFamily.VONMISES:
-        return _exact_solve_vonmises(h, trunc)
-    return _exact_solve_in_nu(family, h, trunc)
+        return _exact_solve_vonmises(h)
+    return _exact_solve_in_nu(family, h)
 
 
 def _series_eval(weights, theta, phase, chunk=8192):
@@ -530,7 +528,7 @@ def _half_angle_density(spec, s):
     return (1.0 + 2.0 * nu * (1.0 - 2.0 * s)) / two_pi
 
 
-def kernel_value(spec, theta, deriv_order=0, trunc=None):
+def kernel_value(spec, theta, deriv_order=0):
     """Evaluate K^(r)(theta) for scalar or array theta.
 
     r = 0 uses closed-form densities where the family has one; r >= 1 uses
@@ -538,7 +536,6 @@ def kernel_value(spec, theta, deriv_order=0, trunc=None):
     Epanechnikov whose piecewise-polynomial derivatives (orders 1 and 2)
     are evaluated directly.
     """
-    trunc = trunc or DEFAULT_TRUNCATION
     r = deriv_order
     if r < 0:
         raise ValueError(f"deriv_order must be nonnegative, got {r}")
@@ -568,10 +565,10 @@ def kernel_value(spec, theta, deriv_order=0, trunc=None):
         else:
             out = np.where(inside, -3.0 / (2.0 * lam**3), 0.0)
     elif r == 0:  # wrapped normal: no elementary closed form
-        weights = _series_weights(spec, 0, 1, trunc)
+        weights = _series_weights(spec, 0, 1, DEFAULT_TRUNCATION)
         out = 1.0 / two_pi + _series_eval(weights, th, 0.0)
     else:
-        weights = _series_weights(spec, r, 1, trunc)
+        weights = _series_weights(spec, r, 1, DEFAULT_TRUNCATION)
         out = _series_eval(weights, th, r * np.pi / 2.0)
 
     return float(out[0]) if scalar else out

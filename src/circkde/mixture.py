@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FitError
 from .estimators import CircularSample
-from .kernels import FourierTruncation, _tail_series, wrap_angle
+from .kernels import DEFAULT_TRUNCATION, _tail_series, wrap_angle
 from .special import bessel_ratio_span, bessel_ratios, i0e, inv_bessel_ratio
 
 __all__ = [
@@ -38,7 +38,11 @@ __all__ = [
 
 _KAPPA_CAP = 1e6
 _WEIGHT_FLOOR = 1e-10
-_PSI_TRUNCATION = FourierTruncation()
+# the EM budget of every fit: restarts per component count, iterations per run
+_EM_RESTARTS = 10
+_EM_MAX_ITER = 500
+# psi_from_model's tail rule is the kernels' one; tests import it by this name
+_PSI_TRUNCATION = DEFAULT_TRUNCATION
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,7 @@ def _log_i0(kappa):
     return math.log(i0e(kappa)) + kappa
 
 
-def _em_once(x, M, init_means, init_kappa, max_iter=500, tol=1e-8):
+def _em_once(x, M, init_means, init_kappa, tol=1e-8):
     """One EM run on centered data.  Returns (params..., degenerate)."""
     n = len(x)
     mus = np.array(init_means, dtype=float)
@@ -115,7 +119,7 @@ def _em_once(x, M, init_means, init_kappa, max_iter=500, tol=1e-8):
     prev_ll = -np.inf
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _EM_MAX_ITER + 1):
         log_comp = (
             np.log(np.maximum(weights, 1e-300))[None, :]
             + kappa * np.cos(x[:, None] - mus[None, :])
@@ -156,17 +160,20 @@ def _quantile_means(x_sorted, M):
     return x_sorted[idx]
 
 
-def fit_em(sample, M, seed=0, restarts=10, max_iter=500, tol=1e-8):
+def fit_em(sample, M, seed=0, tol=1e-8):
     """Fit the shared-concentration mixture by best-of-restarts EM.
 
-    Initialization and all randomness are derived from ``seed``; the first
-    restart uses plain sample quantiles as means, later ones jitter them.
-    The report is memoized on the sample under every argument, with
-    read-only arrays, so the selectors that share a sample run EM once.
+    Each of 10 restarts (one for M = 1, whose likelihood has one maximum)
+    runs EM for at most 500 iterations, stopping once the log-likelihood
+    changes by at most ``tol`` relative.  Initialization and all randomness
+    are derived from ``seed``; the first restart uses plain sample
+    quantiles as means, later ones jitter them.  The report is memoized on
+    the sample under (M, seed, tol), with read-only arrays, so the
+    selectors that share a sample run EM once.
     """
     if M < 1:
         raise ValueError(f"M must be positive, got {M}")
-    key = (M, seed, restarts, max_iter, tol)
+    key = (M, seed, tol)
     if key in sample._fits:
         return sample._fits[key]
     n = sample.n
@@ -182,15 +189,14 @@ def fit_em(sample, M, seed=0, restarts=10, max_iter=500, tol=1e-8):
     rbar = min(math.hypot(C1, S1) / n, 0.999)
     kappa0 = max(inv_bessel_ratio(rbar), 1.0)
 
-    if M == 1:
-        restarts = 1  # the single-component likelihood has one maximum
+    restarts = 1 if M == 1 else _EM_RESTARTS
     best = None
     for r in range(restarts):
         means = _quantile_means(x_sorted, M).copy()
         if r > 0:
             rng = np.random.default_rng([seed, r])
             means = means + rng.normal(0.0, 0.25, M)
-        out = _em_once(x, M, means, kappa0, max_iter=max_iter, tol=tol)
+        out = _em_once(x, M, means, kappa0, tol=tol)
         mus, kappa, weights, ll, iters, converged, path, degenerate = out
         if degenerate:
             continue
@@ -220,9 +226,10 @@ def fit_em(sample, M, seed=0, restarts=10, max_iter=500, tol=1e-8):
     return report
 
 
-def select_aic(sample, M_max, seed=0, restarts=10):
-    """Fit M = 1..M_max and keep the lowest-AIC fit (ties to smaller M).
-    Component counts whose fit fails are skipped; all failing is an error."""
+def select_aic(sample, M_max, seed=0):
+    """Fit M = 1..M_max by fit_em at its default tolerance and keep the
+    lowest-AIC fit (ties to smaller M).  Component counts whose fit fails
+    are skipped; all failing is an error."""
     if M_max < 1:
         raise ValueError(f"M_max must be positive, got {M_max}")
     best = None
@@ -231,7 +238,7 @@ def select_aic(sample, M_max, seed=0, restarts=10):
         if sample.n < 2 * M:
             break
         try:
-            report = fit_em(sample, M, seed=seed, restarts=restarts)
+            report = fit_em(sample, M, seed=seed)
         except FitError as exc:
             failures.append(exc)
             continue
@@ -323,7 +330,7 @@ def psi_from_model(model, s, trunc=None):
     """
     if s < 0 or s % 2 != 0:
         raise ValueError(f"s must be even and nonnegative, got {s}")
-    trunc = trunc or _PSI_TRUNCATION
+    trunc = trunc or DEFAULT_TRUNCATION
     base = 1.0 / (2.0 * np.pi) if s == 0 else 0.0
     sign = -1.0 if s % 4 == 2 else 1.0
     return base + sign * math.fsum(_psi_terms(model, s, trunc)) / np.pi

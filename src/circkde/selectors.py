@@ -193,16 +193,25 @@ def pilot_h_amse(psi_s2, n, family, s):
     return base ** (2.0 / (s + 3))
 
 
-def _fallback(method, trace, reason):
-    entries = tuple(trace) + (TraceEntry(label=f"fallback:{reason}"),)
+def _selection(method, spec, trace, fallback=False):
+    """The one constructor of SmoothingSelection: the pick at kernel
+    ``spec``, or the uniform density (nu = 0, no concentration) at None."""
+    if spec is None:
+        nu, h, conc = 0.0, UNIFORM_BANDWIDTH, None
+    else:
+        nu, h, conc = spec.nu, bandwidth(spec), spec.concentration
     return SmoothingSelection(
-        nu=0.0,
-        h=UNIFORM_BANDWIDTH,
-        kappa_or_lambda=None,
+        nu=nu,
+        h=h,
+        kappa_or_lambda=conc,
         method=method,
-        fallback_uniform=True,
-        trace=entries,
+        fallback_uniform=fallback,
+        trace=tuple(trace),
     )
+
+
+def _fallback(method, trace, reason):
+    return _selection(method, None, [*trace, TraceEntry(label=f"fallback:{reason}")], fallback=True)
 
 
 def _finalize(h_target, cfg, method, trace):
@@ -214,14 +223,8 @@ def _finalize(h_target, cfg, method, trace):
     )
     if is_uniform_fallback(spec):
         return _fallback(method, trace, "bandwidth-at-uniform")
-    return SmoothingSelection(
-        nu=spec.nu,
-        h=bandwidth(spec),
-        kappa_or_lambda=spec.concentration,
-        method=method,
-        fallback_uniform=False,
-        trace=tuple(trace) + (TraceEntry(label="final", pilot_h=float(h_target), pilot_nu=spec.nu),),
-    )
+    final = TraceEntry(label="final", pilot_h=float(h_target), pilot_nu=spec.nu)
+    return _selection(method, spec, [*trace, final])
 
 
 def _pilot_spec(cfg, pilot_h):
@@ -287,8 +290,9 @@ def select_dpi(sample, cfg):
     return _finalize(h, cfg, SelectorMethod.DPI, trace)
 
 
-def _ste_gamma_and_g(sample, cfg, trace):
-    """Build the pilot-bandwidth map gamma and the fixed-point gap g."""
+def _ste_gap(sample, cfg, trace):
+    """The fixed-point gap g(h), whose pilot bandwidth is gamma(h); None
+    when the pilot chain that builds gamma degenerates."""
     r = cfg.r
     n = sample.n
     report = select_aic(sample, cfg.M_max, seed=cfg.seed)
@@ -300,7 +304,7 @@ def _ste_gamma_and_g(sample, cfg, trace):
     rho1 = _pilot_spec(cfg, pilot_h_amse(psi_ref_6, n, cfg.pilot_family, 2 * r + 4))
     rho2 = _pilot_spec(cfg, pilot_h_amse(psi_ref_8, n, cfg.pilot_family, 2 * r + 6))
     if is_uniform_fallback(rho1) or is_uniform_fallback(rho2):
-        return None, None
+        return None
     psi_low = psi_hat(sample, rho1, 2 * r + 4).value
     psi_high = psi_hat(sample, rho2, 2 * r + 6).value
     trace.append(TraceEntry(label=f"psi{2 * r + 4}:pilot", psi=psi_low, pilot_nu=rho1.nu))
@@ -309,18 +313,15 @@ def _ste_gamma_and_g(sample, cfg, trace):
     q1 = kernel_constants(cfg.pilot_family, 2 * r + 4).q1
     q2 = kernel_constants(cfg.kernel_family, r).q2
     if psi_high == 0.0:
-        return None, None
+        return None
     inner = ((-1.0) ** (r + 1) * 2.0 * q1 / ((2 * r + 1) * q2)) * (psi_low / psi_high)
     if inner <= 0.0:
-        return None, None
+        return None
     gamma_scale = inner ** (2.0 / (2 * r + 7))
     gamma_exp = (2 * r + 5) / (2 * r + 7)
 
-    def gamma(h):
-        return gamma_scale * h**gamma_exp
-
     def g(h):
-        pilot = _pilot_spec(cfg, gamma(h))
+        pilot = _pilot_spec(cfg, gamma_scale * h**gamma_exp)
         if is_uniform_fallback(pilot):
             # uniform pilot kills the functional; the implied bandwidth
             # explodes, so report a strongly negative gap
@@ -331,7 +332,7 @@ def _ste_gamma_and_g(sample, cfg, trace):
             return -1e9 * (1.0 + h)
         return h - ((2 * r + 1) * q2 / denom) ** (2.0 / (2 * r + 5))
 
-    return gamma, g
+    return g
 
 
 def select_ste(sample, cfg):
@@ -340,7 +341,7 @@ def select_ste(sample, cfg):
     _require_two(sample, "solve-the-equation")
     trace = []
     try:
-        gamma, gap = _ste_gamma_and_g(sample, cfg, trace)
+        gap = _ste_gap(sample, cfg, trace)
         if gap is None:
             return _fallback(SelectorMethod.STE, trace, "pilot-chain")
         # every value of g is a psi_hat with a fresh pilot kernel; the root
@@ -533,14 +534,7 @@ def select_lcv(sample, cfg):
         obj_star = _lcv_objectives(sample, *_lcv_candidates(family, [h_star], exact))[0]
         trace.append(TraceEntry(label="lcv-objective", psi=float(obj_star)))
         if h_star >= UNIFORM_BANDWIDTH * (1.0 - 1e-12):
-            return SmoothingSelection(
-                nu=0.0,
-                h=UNIFORM_BANDWIDTH,
-                kappa_or_lambda=None,
-                method=SelectorMethod.LCV,
-                fallback_uniform=False,
-                trace=tuple(trace),
-            )
+            return _selection(SelectorMethod.LCV, None, trace)
         return _finalize(h_star, cfg, SelectorMethod.LCV, trace)
     except _SOFT_ERRORS:
         return _fallback(SelectorMethod.LCV, trace, "numeric-error")
@@ -556,12 +550,12 @@ SELECTORS = {
 
 
 @lru_cache(maxsize=32)
-def default_gold_grid(family, size=200):
-    """Concentration grid for the gold standard: ``size`` log-spaced
-    bandwidths from 1e-4 up to the uniform value, converted to
-    concentrations, plus the uniform point itself."""
+def default_gold_grid(family):
+    """Concentration grid for the gold standard: 200 log-spaced bandwidths
+    from 1e-4 up to the uniform value, converted to concentrations, plus
+    the uniform point itself."""
     family = KernelFamily(family)
-    hs = np.geomspace(1e-4, UNIFORM_BANDWIDTH * (1.0 - 1e-9), size)
+    hs = np.geomspace(1e-4, UNIFORM_BANDWIDTH * (1.0 - 1e-9), 200)
     nus = [0.0]
     for h in hs[::-1]:
         try:
@@ -583,15 +577,15 @@ def _gold_table(family, nus):
     return kernels, ise_weights(kernels)
 
 
-def select_gold(sample, truth, cfg, grid=None, eval_points=2048):
+def select_gold(sample, truth, cfg, grid=None):
     """Oracle selection: the grid concentration whose density estimate has
     the smallest realized integrated squared error against the truth.
 
-    The error is the periodic trapezoid rule on a dense equispaced grid,
-    as in grid_ise: computed for every candidate at once by discrete
-    Parseval from one table of kernel weights per (family, grid), or by
-    direct grid sums for the wrapped Epanechnikov.  Ties go to the smaller
-    nu.
+    The error is grid_ise's periodic trapezoid rule on its 2048-point
+    grid: computed for every candidate at once by discrete Parseval from
+    one table of kernel weights per (family, grid), or by direct grid sums
+    for the wrapped Epanechnikov.  Ties go to the smaller nu; a uniform
+    pick (nu = 0) is not a fallback.
     """
     if grid is None:
         nus = default_gold_grid(cfg.kernel_family)
@@ -600,20 +594,9 @@ def select_gold(sample, truth, cfg, grid=None, eval_points=2048):
     if len(nus) == 0:
         raise ValueError("gold-standard grid is empty")
     specs, weights = _gold_table(cfg.kernel_family, tuple(map(float, nus)))
-    ises = grid_ise(sample, specs, truth, eval_points, weights)
-    best_idx = int(np.argmin(ises))  # first minimum: ties keep the smaller nu
-    best_ise = float(ises[best_idx])
-    spec = specs[best_idx]
-    if spec is None:
-        nu_star, h_star, conc = 0.0, UNIFORM_BANDWIDTH, None
-    else:
-        nu_star, h_star, conc = spec.nu, bandwidth(spec), spec.concentration
-    trace = (TraceEntry(label="gold-ise", psi=best_ise, pilot_nu=nu_star),)
-    return SmoothingSelection(
-        nu=nu_star,
-        h=h_star,
-        kappa_or_lambda=conc,
-        method=SelectorMethod.GS,
-        fallback_uniform=False,
-        trace=trace,
-    )
+    ises = grid_ise(sample, specs, truth, weights=weights)
+    best = int(np.argmin(ises))  # first minimum: ties keep the smaller nu
+    spec = specs[best]
+    nu = 0.0 if spec is None else spec.nu
+    trace = [TraceEntry(label="gold-ise", psi=float(ises[best]), pilot_nu=nu)]
+    return _selection(SelectorMethod.GS, spec, trace)

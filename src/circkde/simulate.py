@@ -88,16 +88,16 @@ def builtin_models():
     ]
 
 
-def realized_ise(sample, family, nu, density, points=2048):
+def realized_ise(sample, family, nu, density):
     """Integrated squared error of the KDE at concentration nu against the
-    known density, by the periodic trapezoid rule on an equispaced grid
-    (spectrally accurate for these smooth integrands).
+    known density, by the periodic trapezoid rule on grid_ise's 2048-point
+    equispaced grid (spectrally accurate for these smooth integrands).
 
     One row of grid_ise: computed exactly by discrete Parseval from the
     kernel weights and the sample moments, or by the direct grid sum for
     the wrapped Epanechnikov."""
     kernel = None if nu == 0.0 else KernelSpec.from_nu(family, nu)
-    return float(grid_ise(sample, [kernel], density, points)[0])
+    return float(grid_ise(sample, [kernel], density)[0])
 
 
 def run_monte_carlo(model, selectors, n, replicates, seed=0, nu_grid=None, cfg=None):

@@ -293,6 +293,11 @@ def bessel_ratios(kappa, max_order):
     return BesselRatioTable(kappa=kappa, max_order=max_order, ratios=ratios)
 
 
+# inv_bessel_ratio's Newton budget: relative step in kappa and step count
+_INV_RATIO_TOL = 1e-10
+_INV_RATIO_MAX_ITER = 100
+
+
 def _ratio_and_derivative(kappa):
     # d/dk [I1/I0] = 1 - A/k - A^2, with the k->0 limit 1/2
     a = _first_ratio(kappa)
@@ -301,12 +306,12 @@ def _ratio_and_derivative(kappa):
     return a, 1.0 - a / kappa - a * a
 
 
-def inv_bessel_ratio(nu, rel_tol=1e-10, max_iter=100):
+def inv_bessel_ratio(nu):
     """Solve I_1(kappa)/I_0(kappa) = nu for kappa.
 
     Safeguarded Newton iteration with an expanding bisection bracket;
-    converges to relative tolerance ``rel_tol`` in kappa.  nu must lie in
-    [0, 1); nu = 0 maps to kappa = 0.
+    converges to relative tolerance 1e-10 in kappa within 100 steps, else
+    raises ToleranceError.  nu must lie in [0, 1); nu = 0 maps to kappa = 0.
     """
     if not 0.0 <= nu < 1.0:
         raise ValueError(f"nu must be in [0, 1), got {nu}")
@@ -324,7 +329,7 @@ def inv_bessel_ratio(nu, rel_tol=1e-10, max_iter=100):
         if hi > 1e12:
             raise ToleranceError(f"no bracket for inv_bessel_ratio({nu})", estimate=hi)
     kappa = min(max(kappa, lo), hi)
-    for _ in range(max_iter):
+    for _ in range(_INV_RATIO_MAX_ITER):
         a, da = _ratio_and_derivative(kappa)
         if a > nu:
             hi = kappa
@@ -334,7 +339,7 @@ def inv_bessel_ratio(nu, rel_tol=1e-10, max_iter=100):
         new = kappa - step
         if not lo <= new <= hi:
             new = 0.5 * (lo + hi)
-        if abs(new - kappa) <= rel_tol * max(new, 1e-300):
+        if abs(new - kappa) <= _INV_RATIO_TOL * max(new, 1e-300):
             return new
         kappa = new
     raise ToleranceError(f"inv_bessel_ratio({nu}) did not converge", estimate=kappa)

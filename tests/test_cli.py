@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from circkde import simulate
+from circkde.errors import BracketingError, FitError, ToleranceError
 from circkde.cli import (
     AngleFormat,
     CliError,
@@ -456,3 +457,135 @@ class TestSelectorTable:
             main(["select", path, "--method", "bogus"])
         assert info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestModeRefinement:
+    """Each reported crossing is a root of the derivative estimate to within
+    the solver's 1e-6 rad: the derivative is positive just before a mode
+    and negative just after it, and the reverse at an antimode."""
+
+    @staticmethod
+    def assert_sign_flips(report):
+        grid = report.deriv_grid
+        assert report.modes and report.antimodes
+        for crossings, before_sign in ((report.modes, 1.0), (report.antimodes, -1.0)):
+            for angle, _ in crossings:
+                around = np.array([angle - 1e-6, angle + 1e-6])
+                before, after = kde_values(grid.sample, grid.kernel, around, deriv_order=1)
+                assert np.sign(before) == before_sign and np.sign(after) == -before_sign
+
+    @pytest.mark.parametrize("method", ["dpi", "ste", "lcv"])
+    def test_crash_data(self, method):
+        ingest = IngestSpec(CRASH_CSV, AngleFormat.HHMM, column="time")
+        self.assert_sign_flips(cmd_modes(ingest, SelectorConfig(), method))
+
+    def test_two_mode_sample(self, tmp_path):
+        rng = np.random.default_rng(6)
+        angles = np.concatenate([rng.vonmises(0.0, 8.0, 260), rng.vonmises(2.6, 8.0, 140)])
+        path = radians_file(tmp_path, angles)
+        report = cmd_modes(IngestSpec(path, AngleFormat.RADIANS), SelectorConfig(M_max=1), "dpi")
+        self.assert_sign_flips(report)
+
+
+class TestMainErrorHandling:
+    """main reports numeric failures as the JSON error object with exit 1;
+    any other exception is a bug and propagates."""
+
+    @staticmethod
+    def _raising(monkeypatch, exc):
+        def broken(sample, cfg):
+            raise exc
+
+        monkeypatch.setitem(SELECTORS, "rt", broken)
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            ValueError("bad value"),
+            BracketingError("no sign change"),
+            FloatingPointError("overflow"),
+            ZeroDivisionError("division by zero"),
+            ToleranceError("no convergence"),
+            FitError("all restarts degenerated"),
+        ],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_numeric_failures_are_json_exit_one(self, tmp_path, capsys, monkeypatch, exc):
+        self._raising(monkeypatch, exc)
+        path = radians_file(tmp_path, vm_angles(0, n=30))
+        assert main(["select", path, "--method", "rt"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        expected = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        assert json.loads(captured.err) == expected
+
+    @pytest.mark.parametrize(
+        "exc",
+        [TypeError("bug"), KeyError("bug"), AttributeError("bug"), RuntimeError("bug")],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_other_exceptions_propagate(self, tmp_path, capsys, monkeypatch, exc):
+        self._raising(monkeypatch, exc)
+        path = radians_file(tmp_path, vm_angles(0, n=30))
+        with pytest.raises(type(exc)):
+            main(["select", path, "--method", "rt"])
+        assert capsys.readouterr().err == ""
+
+
+class TestSmallInputs:
+    """The CLI at one and two observations and on identical angles."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--method", "rt"],
+            ["select", "--method", "lcv"],
+            ["density", "--method", "dpi"],
+            ["modes", "--method", "ste"],
+        ],
+    )
+    def test_one_observation_is_an_input_error(self, tmp_path, capsys, argv):
+        path = radians_file(tmp_path, [0.3])
+        assert main([argv[0], path, *argv[1:]]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "input", "message": "need at least 2 observations, got 1"}
+
+    @pytest.mark.parametrize("method", ["rt", "dpi", "ste", "lcv"])
+    @pytest.mark.parametrize(
+        "angles",
+        [[0.3, 1.1], [0.3, 0.3], [0.3] * 10],
+        ids=["two", "two-identical", "ten-identical"],
+    )
+    def test_select_prints_the_selector_result(self, tmp_path, capsys, method, angles):
+        path = radians_file(tmp_path, angles)
+        assert main(["select", path, "--method", method]) == 0
+        expected = SELECTORS[method](CircularSample.from_data(angles), SelectorConfig())
+        assert capsys.readouterr().out == expected.to_json() + "\n"
+
+    @pytest.mark.parametrize(
+        "method, reason",
+        [("rt", "reference-fit"), ("dpi", "cascade-error"), ("ste", "numeric-error")],
+    )
+    def test_identical_angles_fall_back(self, tmp_path, capsys, method, reason):
+        path = radians_file(tmp_path, [0.3] * 10)
+        assert main(["select", path, "--method", method]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["fallback_uniform"] and out["nu"] == 0.0 and out["kappa_or_lambda"] is None
+        assert out["trace"][-1]["label"] == f"fallback:{reason}"
+        assert main(["modes", path, "--method", method]) == 0
+        empty = {"modes": [], "antimodes": [], "uniform": True}
+        assert json.loads(capsys.readouterr().out) == empty
+        assert main(["density", path, "--method", method, "--grid-size", "8"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+        assert rows[1:] == [f"{t:.9g},{1.0 / (2.0 * np.pi):.9g}" for t in default_grid(8)]
+
+    def test_identical_angles_lcv_takes_the_narrowest_kernel(self, tmp_path, capsys):
+        path = radians_file(tmp_path, [0.3] * 10)
+        assert main(["select", path, "--method", "lcv"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert not out["fallback_uniform"]
+        assert out["nu"] == pytest.approx(0.999949998749875, rel=1e-9)
+        assert main(["modes", path, "--method", "lcv"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [m["angle"] for m in report["modes"]] == [pytest.approx(0.3, abs=1e-6)]
+        assert len(report["antimodes"]) == 1

@@ -5,6 +5,7 @@ Each check runs in a fresh interpreter, since the test session itself has
 imported those modules long before.
 """
 
+import inspect
 import json
 import math
 import os
@@ -89,3 +90,43 @@ def test_cli_commands_load_no_scipy_module():
         assert modules == [], stage
     assert report["integrate_loaded"]
     assert math.isclose(report["integral"], 2 * math.pi**3 / 3, rel_tol=1e-10)
+
+
+# Every optional parameter of the functions that circkde exports.  A
+# numerical budget with one value in use is a module constant, not a knob;
+# a new optional parameter fails this test until it is listed here.
+OPTIONAL_PARAMETERS = {
+    "default_grid": ("num",),
+    "grid_ise": ("points", "weights"),
+    "kde": ("thetas",),
+    "kde_deriv": ("thetas",),
+    "kde_values": ("deriv_order",),
+    "psi_hat": ("method",),
+    "concentration_from_bandwidth": ("exact",),
+    "derivative_weights": ("deriv_order",),
+    "kernel_value": ("deriv_order",),
+    "roughness": ("deriv_order", "power", "trunc"),
+    "fit_em": ("seed", "tol"),
+    "psi_from_model": ("trunc",),
+    "select_aic": ("seed",),
+    "select_gold": ("grid",),
+    "emit_table": ("format",),
+    "run_monte_carlo": ("seed", "nu_grid", "cfg"),
+    "bessel_ratio": ("order",),
+    "find_root": ("tol", "max_iter", "g_lo", "g_hi"),
+    "integrate_circle": ("cfg",),
+}
+
+
+def test_optional_parameters_of_public_functions_are_listed():
+    found = {}
+    for name in circkde.__all__:
+        obj = getattr(circkde, name)
+        if not callable(obj) or inspect.isclass(obj):
+            continue
+        params = inspect.signature(obj).parameters.values()
+        optional = tuple(p.name for p in params if p.default is not inspect.Parameter.empty)
+        if optional:
+            found[name] = optional
+    assert found == OPTIONAL_PARAMETERS
+    assert sum(map(len, found.values())) == 28

@@ -1098,3 +1098,150 @@ class TestSmallSamples:
         assert sel.trace[-1].label == "final"
         assert sel.trace[-1].pilot_h == pytest.approx(hs[0], rel=1e-12)
         assert sel.nu == pytest.approx(0.999949998749875, rel=1e-9)
+
+
+class TestSelectionBuilder:
+    """Every selector's answer comes from selectors._selection: a kernel
+    gives its nu, bandwidth and concentration; None gives the uniform
+    density, flagged as a fallback only when a selector gave up."""
+
+    def test_kernel_pick_carries_its_concentration(self):
+        for family, conc in ((VM, "kappa"), (KernelFamily.WRAPPEDEPANECHNIKOV, "lam"), (WN, None)):
+            spec = KernelSpec.from_nu(family, 0.8)
+            trace = [TraceEntry(label="x", psi=1.0)]
+            sel = selectors._selection(SelectorMethod.GS, spec, trace)
+            assert sel.nu == spec.nu
+            assert sel.h == bandwidth(spec)
+            assert sel.kappa_or_lambda == (None if conc is None else getattr(spec, conc))
+            assert not sel.fallback_uniform
+            assert sel.trace == tuple(trace)
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_uniform_pick(self, fallback):
+        sel = selectors._selection(SelectorMethod.LCV, None, [], fallback=fallback)
+        assert (sel.nu, sel.h, sel.kappa_or_lambda) == (0.0, UNIFORM_BANDWIDTH, None)
+        assert sel.fallback_uniform is fallback
+        assert sel.trace == ()
+
+    def test_fallback_appends_its_reason(self):
+        first = TraceEntry(label="psi4:reference", psi=2.0)
+        sel = selectors._fallback(SelectorMethod.DPI, [first], "cascade-error")
+        assert sel.fallback_uniform and sel.kappa_or_lambda is None and sel.nu == 0.0
+        assert sel.trace == (first, TraceEntry(label="fallback:cascade-error"))
+
+    def test_gold_kernel_families_report_their_concentration(self):
+        s = vm_sample(8, n=40)
+        truth = vm_truth(0.0, 2.0)
+        for family, attr in ((VM, "kappa"), (KernelFamily.WRAPPEDEPANECHNIKOV, "lam")):
+            sel = select_gold(s, truth, SelectorConfig(kernel_family=family), grid=[0.6])
+            assert sel.kappa_or_lambda == getattr(KernelSpec.from_nu(family, 0.6), attr)
+            assert not sel.fallback_uniform
+        sel = select_gold(s, truth, SelectorConfig(kernel_family=WN), grid=[0.6])
+        assert sel.nu == 0.6 and sel.kappa_or_lambda is None and not sel.fallback_uniform
+
+
+def _tied_gold_ises(values):
+    def fake(sample, kernels, truth, points=2048, weights=None):
+        assert len(kernels) == len(values)
+        return np.array(values, dtype=float)
+
+    return fake
+
+
+class TestGridTies:
+    """Ties in the grid searches: LCV keeps the first maximum of its
+    64-point objective, the gold standard the smaller nu."""
+
+    @staticmethod
+    def _tied_lcv(monkeypatch, objs):
+        real = selectors._lcv_objectives
+
+        def fake(sample, specs, weights, peaks):
+            if len(specs) == len(objs):
+                return np.array(objs, dtype=float)
+            return real(sample, specs, weights, peaks)
+
+        monkeypatch.setattr(selectors, "_lcv_objectives", fake)
+
+    def test_lcv_first_of_two_isolated_maxima(self, monkeypatch):
+        hs = _lcv_table(VM, False)[0]
+        objs = np.full(len(hs), -np.inf)
+        objs[[20, 45]] = -10.0
+        self._tied_lcv(monkeypatch, objs)
+        sel = select_lcv(vm_sample(0, n=50), SelectorConfig())
+        assert sel.trace[-1].label == "final"
+        assert sel.trace[-1].pilot_h == pytest.approx(hs[20], rel=1e-12)
+        assert sel.nu == concentration_from_bandwidth(VM, sel.trace[-1].pilot_h).nu
+
+    def test_lcv_flat_objective_takes_the_narrowest_bandwidth(self, monkeypatch):
+        hs = _lcv_table(VM, False)[0]
+        self._tied_lcv(monkeypatch, np.full(len(hs), -3.0))
+        sel = select_lcv(vm_sample(1, n=50), SelectorConfig())
+        assert sel.trace[-1].pilot_h == pytest.approx(hs[0], rel=1e-12)
+        assert not sel.fallback_uniform
+
+    def test_lcv_uniform_candidate_loses_a_tie(self, monkeypatch):
+        hs = _lcv_table(VM, False)[0]
+        objs = np.full(len(hs), -np.inf)
+        objs[[30, len(hs) - 1]] = -5.0
+        self._tied_lcv(monkeypatch, objs)
+        sel = select_lcv(vm_sample(2, n=50), SelectorConfig())
+        assert sel.trace[-1].pilot_h == pytest.approx(hs[30], rel=1e-12)
+
+    def test_lcv_uniform_pick_is_not_a_fallback(self, monkeypatch):
+        hs = _lcv_table(VM, False)[0]
+        objs = np.full(len(hs), -np.inf)
+        objs[-1] = -5.0
+        self._tied_lcv(monkeypatch, objs)
+        sel = select_lcv(vm_sample(3, n=50), SelectorConfig())
+        assert (sel.nu, sel.h, sel.kappa_or_lambda) == (0.0, UNIFORM_BANDWIDTH, None)
+        assert not sel.fallback_uniform
+        assert [t.label for t in sel.trace] == ["lcv-objective"]
+
+    def test_gold_tie_keeps_the_smaller_nu(self, monkeypatch):
+        # the grid is sorted ascending before the search
+        monkeypatch.setattr(selectors, "grid_ise", _tied_gold_ises([1.0, 0.2, 0.5, 0.2]))
+        grid = [0.9, 0.3, 0.7, 0.5]
+        sel = select_gold(vm_sample(4, n=30), vm_truth(0.0, 2.0), SelectorConfig(), grid=grid)
+        assert sel.nu == 0.5
+        assert sel.trace == (TraceEntry(label="gold-ise", psi=0.2, pilot_nu=0.5),)
+
+    def test_gold_tie_with_the_uniform_point_picks_uniform(self, monkeypatch):
+        grid = default_gold_grid(VM)
+        ises = np.ones(len(grid))
+        ises[[0, 57]] = 0.25
+        monkeypatch.setattr(selectors, "grid_ise", _tied_gold_ises(ises))
+        sel = select_gold(vm_sample(5, n=30), vm_truth(0.0, 2.0), SelectorConfig())
+        assert (sel.nu, sel.h, sel.kappa_or_lambda) == (0.0, UNIFORM_BANDWIDTH, None)
+        assert not sel.fallback_uniform
+        assert sel.trace == (TraceEntry(label="gold-ise", psi=0.25, pilot_nu=0.0),)
+
+
+class TestGoldSmallSamples:
+    """The gold standard needs no minimum sample size: it runs at n = 1,
+    and n identical angles give the one-angle estimate, hence its pick."""
+
+    # argmin of the direct trapezoid ISE over the default grid against the
+    # VM2 truth (von Mises, kappa 2), from the code before the single
+    # selection builder
+    @pytest.mark.parametrize(
+        "angles, nu",
+        [
+            ([0.3], 0.6614996069237983),
+            ([0.3, 1.1], 0.5465149928816173),
+            ([0.3, 0.3], 0.6614996069237983),
+            ([0.3] * 10, 0.6614996069237983),
+        ],
+        ids=["one", "two", "two-identical", "ten-identical"],
+    )
+    def test_pick(self, angles, nu):
+        truth = builtin_models()[1].density
+        s = CircularSample.from_data(angles)
+        sel = select_gold(s, truth, SelectorConfig())
+        assert sel.nu == pytest.approx(nu, rel=1e-12)
+        assert not sel.fallback_uniform
+        assert sel.kappa_or_lambda == KernelSpec.from_nu(VM, sel.nu).kappa
+        grid = default_gold_grid(VM)
+        direct = [_fast_ise(s, float(g), truth) for g in grid]
+        assert sel.nu == grid[int(np.argmin(direct))]
+        assert sel.trace[0].psi == pytest.approx(min(direct), rel=1e-10)
