@@ -1,0 +1,220 @@
+"""Time one Monte-Carlo replicate layer by layer on two source trees and
+write BENCH_replicate.json (or the ``--out`` path).
+
+    python3 scripts/bench_replicate.py --before OLD/src --after src [--rounds 3]
+
+Each tree is imported in its own interpreter with BLAS pinned to one
+thread, and the two trees alternate for ``--rounds`` rounds.  One op is
+one replicate as the ``mc-zoo`` benchmark runs it: ``run_monte_carlo``
+with rt, dpi, ste and lcv (the gold standard added by the harness),
+``replicates=1``, cycling through the five zoo models.  For each n in
+SIZES the report gives the median over ops of
+
+* the milliseconds spent in each selector (rt, dpi, ste, lcv, gs) and in
+  the five ``realized_ise`` calls, and the whole op;
+* the minor page faults of the op (``getrusage`` ``ru_minflt``), after
+  warm-up ops.
+
+Then both trees run on every ``mc-zoo`` pool sample (five zoo models,
+replicate seeds 0-255, n = 100, drawn as run_monte_carlo draws them) and
+every ``large-n`` pool sample (128 samples, n = 10 000, drawn by
+``bench/workloads.py``).  The report counts the rt, dpi and ste
+selections (nu, h and trace) that differ between the trees, and gives the
+worst relative deviation of the gold-standard and LCV nu, of each
+selector's realized ISE, and of ``kde`` and ``kde_deriv`` (r = 1) on the
+512-point grid at the DPI concentration of the large-n samples.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import time
+
+from bench_lcv import cpu_model, rel, run_child
+
+# n -> (warm-up ops, timed ops) per round
+SIZES = {100: (25, 200), 1000: (5, 30), 10000: (1, 5)}
+SELECTORS = ("rt", "dpi", "ste", "lcv")
+LAYERS = SELECTORS + ("gs", "realized_ise")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+OUT = os.path.join(ROOT, "BENCH_replicate.json")
+
+_TIMING = r"""
+import json, resource, sys, time
+import numpy as np
+from circkde import simulate as sim
+
+args = json.loads(sys.argv[1])
+models = sim.builtin_models()
+spent = {}
+
+
+def timed(label, fn):
+    def wrapper(*a, **k):
+        t0 = time.perf_counter()
+        try:
+            return fn(*a, **k)
+        finally:
+            spent[label] = spent.get(label, 0.0) + time.perf_counter() - t0
+
+    return wrapper
+
+
+for name in list(sim._SELECTOR_FNS):
+    sim._SELECTOR_FNS[name] = timed(name, sim._SELECTOR_FNS[name])
+sim.select_gold = timed("gs", sim.select_gold)
+sim.realized_ise = timed("realized_ise", sim.realized_ise)
+
+
+def op(n, k):
+    sim.run_monte_carlo(models[k % len(models)], args["selectors"], n=n, replicates=1, seed=k)
+
+
+out = {"numpy": np.__version__, "ops": {}}
+for n, (warm, count) in args["sizes"].items():
+    for k in range(warm):
+        op(int(n), 10_000 + k)
+    rows = []
+    for k in range(count):
+        spent.clear()
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        op(int(n), k)
+        wall = time.perf_counter() - t0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+        rows.append({"op": wall, "faults": faults, **spent})
+    out["ops"][n] = rows
+print(json.dumps(out))
+"""
+
+_POOLS = r"""
+import json, sys
+import numpy as np
+from circkde import selectors as sel
+from circkde.estimators import CircularSample, kde, kde_deriv
+from circkde.kernels import KernelSpec
+from circkde.simulate import builtin_models, realized_ise
+
+args = json.loads(sys.argv[1])
+sys.path.insert(0, args["bench"])
+import workloads
+
+cfg = sel.SelectorConfig()
+out = {"mc-zoo": [], "large-n": []}
+for model in builtin_models():
+    for seed in range(workloads.MC_POOL):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+        sample = model.sampler(rng, workloads.MC_N)
+        picks = {m: sel.SELECTORS[m](sample, cfg) for m in args["selectors"]}
+        picks["gs"] = sel.select_gold(sample, model.density, cfg)
+        out["mc-zoo"].append({
+            m: {"json": s.to_json(), "nu": s.nu,
+                "ise": realized_ise(sample, cfg.kernel_family, s.nu, model.density)}
+            for m, s in picks.items()
+        })
+for k in range(workloads.LARGE_POOL):
+    sample = CircularSample.from_data(workloads.large_angles(k))
+    picks = {m: sel.SELECTORS[m](sample, cfg) for m in ("rt", "dpi", "ste")}
+    spec = KernelSpec.from_nu(cfg.kernel_family, picks["dpi"].nu)
+    row = {m: {"json": s.to_json()} for m, s in picks.items()}
+    row["kde"] = kde(sample, spec).values.tolist()
+    row["kde_deriv"] = kde_deriv(sample, spec, 1).values.tolist()
+    out["large-n"].append(row)
+print(json.dumps(out))
+"""
+
+
+def _timing(src):
+    args = {"sizes": {str(n): v for n, v in SIZES.items()}, "selectors": list(SELECTORS)}
+    return run_child(src, _TIMING, args)
+
+
+def _summary(runs):
+    """Medians over every timed op of every round, in ms, per n."""
+    out = {}
+    for n in map(str, SIZES):
+        rows = [row for run in runs for row in run["ops"][n]]
+        cell = {f"{k}_ms": 1e3 * statistics.median(r.get(k, 0.0) for r in rows) for k in LAYERS}
+        cell["op_ms"] = 1e3 * statistics.median(r["op"] for r in rows)
+        cell["faults_per_op"] = statistics.median(r["faults"] for r in rows)
+        cell["faults_per_op_mean"] = statistics.fmean(r["faults"] for r in rows)
+        cell["ops"] = len(rows)
+        out[n] = cell
+    return out
+
+
+def _array_dev(a, b):
+    scale = max(max(map(abs, a)), 1e-300)
+    return max(abs(x - y) for x, y in zip(a, b)) / scale
+
+
+def _compare(before, after):
+    differ = {}
+    worst = {}
+    for pool in ("mc-zoo", "large-n"):
+        for old, new in zip(before[pool], after[pool]):
+            for m in ("rt", "dpi", "ste"):
+                key = f"{pool}.{m}"
+                differ[key] = differ.get(key, 0) + (old[m]["json"] != new[m]["json"])
+    for old, new in zip(before["mc-zoo"], after["mc-zoo"]):
+        for m in ("gs", "lcv"):
+            key = f"mc-zoo.{m}.nu"
+            worst[key] = max(worst.get(key, 0.0), rel(old[m]["nu"], new[m]["nu"]))
+        for m in (*SELECTORS, "gs"):
+            key = f"mc-zoo.{m}.ise"
+            worst[key] = max(worst.get(key, 0.0), rel(old[m]["ise"], new[m]["ise"]))
+    for old, new in zip(before["large-n"], after["large-n"]):
+        for key in ("kde", "kde_deriv"):
+            worst[f"large-n.{key}"] = max(worst.get(f"large-n.{key}", 0.0), _array_dev(old[key], new[key]))
+    return differ, worst
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--before", required=True, help="src directory of the old code")
+    ap.add_argument("--after", required=True, help="src directory of the new code")
+    ap.add_argument("--rounds", type=int, default=3, help="alternating timing rounds (default 3)")
+    ap.add_argument("--out", default=OUT, help="report path (default: BENCH_replicate.json)")
+    opts = ap.parse_args(argv)
+
+    runs = {"before": [], "after": []}
+    for _ in range(opts.rounds):
+        runs["before"].append(_timing(opts.before))
+        runs["after"].append(_timing(opts.after))
+    pool_args = {"selectors": list(SELECTORS), "bench": os.path.join(ROOT, "bench")}
+    pools_after = run_child(opts.after, _POOLS, pool_args)
+    differ, worst = _compare(run_child(opts.before, _POOLS, pool_args), pools_after)
+    before, after = _summary(runs["before"]), _summary(runs["after"])
+    report = {
+        "what": (
+            "one mc-zoo replicate (run_monte_carlo: rt, dpi, ste, lcv and the gold "
+            "standard, replicates=1, the five zoo models in turn): median ms per op in "
+            "each selector, in the five realized_ise calls and in the whole op, and "
+            f"minor page faults per op, over {opts.rounds} alternating rounds"
+        ),
+        "machine": {
+            "nproc": os.cpu_count(),
+            "cpu": cpu_model(),
+            "python": platform.python_version(),
+            "numpy": runs["after"][0]["numpy"],
+            "blas_threads": 1,
+        },
+        "ops_per_round": {str(n): count for n, (_, count) in SIZES.items()},
+        "before": before,
+        "after": after,
+        "speedup_op": {n: before[n]["op_ms"] / after[n]["op_ms"] for n in before},
+        "pool_samples": {pool: len(rows) for pool, rows in pools_after.items()},
+        "selections_that_differ": differ,
+        "worst_rel_deviation": worst,
+        "date": time.strftime("%Y-%m-%d"),
+    }
+    with open(opts.out, "w") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    print(json.dumps(report, indent=2))
+
+
+if __name__ == "__main__":
+    main()

@@ -148,6 +148,8 @@ def read_angles(ingest):
             raw = fh.readlines()
     except OSError as exc:
         raise CliError("io", f"cannot read {ingest.path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError("parse", f"{ingest.path} is not UTF-8 text: {exc}", exit_code=2)
 
     col_index = None
     header_pending = False

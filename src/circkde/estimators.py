@@ -70,11 +70,19 @@ _DIRECT_ISE = {KernelFamily.WRAPPEDEPANECHNIKOV}
 
 # orders per rebase in _trig_parts and the width of its fine factor, and the
 # number of array elements a row block of a kernel sum or basis may hold:
-# 2^16 doubles (512 KB) keep a block's temporaries in cache, which ran faster
-# than 2^14 or 2^18
+# 2^16 doubles (512 KB) ran faster than 2^14 or 2^18, measured while a
+# 3.3 MB per-call temporary of the Parseval ISE kept the process heap large
 _ORDERS = 64
 _FINE = 8
 _BLOCK_ELEMS = 1 << 16
+
+# the smaller block of a _spectral_sum over few angles: 2^14 doubles
+# (128 KB) stay below glibc's default mmap threshold, so such a call reuses
+# freed heap memory instead of faulting fresh pages in every time
+_FLAT_ELEMS = 1 << 14
+
+# grid_ise's default grid, on which simulations score their estimates
+_ISE_POINTS = 2048
 
 
 def _cos_sin(orders, angles):
@@ -289,9 +297,10 @@ def _spectral_sum(sample, weights, deriv_order, thetas):
 
     ``weights`` is one kernel's (J,) derivative_weights, giving one value
     per angle, or a zero-padded (G, J) matrix with one kernel per row,
-    giving a (len(thetas), G) array.  The cos/sin basis at the angles comes
-    from _trig_parts in blocks of angles, so its memory stays bounded for
-    any number of angles.
+    giving a (len(thetas), G) array.  The cos/sin basis at the angles,
+    scaled by the moments, comes from _trig_parts in blocks of angles and
+    meets the weights as they are in one product per block; no (J, G)
+    array is built.
     """
     J = weights.shape[-1]
     C, S = sample.trig_moments(J)
@@ -299,26 +308,40 @@ def _spectral_sum(sample, weights, deriv_order, thetas):
     out = np.full((len(thetas),) + weights.shape[:-1], base)
     if J == 0:  # ise_weights of uniform kernels only
         return out
-    # the phase r pi/2 of the differentiated series is a quarter turn, folded
-    # exactly into the weights: cos(x + phase) = a cos x - b sin x and
-    # sin(x + phase) = b cos x + a sin x
-    a, b = ((1, 0), (0, 1), (-1, 0), (0, -1))[deriv_order % 4]
-    wc, ws = weights * C, weights * S
+    # sum_i cos(j (x - Theta_i) + r pi/2) = cos(j x) u_j + sin(j x) v_j: the
+    # phase of the differentiated series is a quarter turn, which swaps and
+    # negates the moments exactly
+    u, v = ((C, S), (S, -C), (-C, -S), (-S, C))[deriv_order % 4]
     starts = np.arange(1, J + 1, _ORDERS)
     nb, width = len(starts), min(_ORDERS, J)
-    vc = np.zeros((nb * width,) + weights.shape[:-1])
-    vs = np.zeros_like(vc)
-    vc[:J] = (a * wc + b * ws).T
-    vs[:J] = (a * ws - b * wc).T
-    rows = max(1, _BLOCK_ELEMS // (nb * width))
+    scale = np.zeros((2, nb * width, 1))
+    scale[0, :J, 0], scale[1, :J, 0] = u, v
+    su, sv = scale.reshape(2, nb, width, 1)
+    # each temporary holds at most _FLAT_ELEMS elements, or an eighth of the
+    # angles up to _BLOCK_ELEMS, so a call over many angles does not pay
+    # the per-block overhead hundreds of times
+    elems = max(_FLAT_ELEMS, min(len(thetas) * nb * width // 8, _BLOCK_ELEMS))
+    rows = max(1, min(len(thetas), elems // (nb * width)))
+    basis_buf, tmp_buf = np.empty(nb * width * rows), np.empty(nb * width * rows)
     for lo in range(0, len(thetas), rows):
         rebase, table = _trig_parts(thetas[lo : lo + rows], starts, width)
         rc, rs = rebase[:nb, None], rebase[nb:, None]
         tc, ts = table[None, :width], table[None, width:]
         m = table.shape[1]
-        cos = (rc * tc - rs * ts).reshape(nb * width, m)
-        sin = (rs * tc + rc * ts).reshape(nb * width, m)
-        out[lo : lo + rows] += (cos.T @ vc + sin.T @ vs) / (np.pi * sample.n)
+        basis = basis_buf[: nb * width * m].reshape(nb, width, m)
+        tmp = tmp_buf[: nb * width * m].reshape(nb, width, m)
+        # cos(j x) u_j + sin(j x) v_j, with the angle addition of _trig_parts
+        np.multiply(rc, tc, out=basis)
+        np.multiply(rs, ts, out=tmp)
+        basis -= tmp
+        basis *= su
+        np.multiply(rs, tc, out=tmp)
+        tmp *= sv
+        basis += tmp
+        np.multiply(rc, ts, out=tmp)
+        tmp *= sv
+        basis += tmp
+        out[lo : lo + m] += (basis.reshape(nb * width, m)[:J].T @ weights.T) / (np.pi * sample.n)
     return out
 
 
@@ -448,8 +471,14 @@ def ise(est, truth):
 
 
 def _truth_on_grid(truth, grid):
-    """Known density on the grid; a callable that only takes scalars is
-    evaluated point by point."""
+    """Known density on the grid: ``truth`` is either a callable, and one
+    that only takes scalars is evaluated point by point, or already its
+    values on the grid."""
+    if not callable(truth):
+        vals = np.asarray(truth, dtype=float)
+        if vals.shape != grid.shape:
+            raise ValueError(f"truth values must have shape {grid.shape}, got {vals.shape}")
+        return vals
     try:
         vals = np.asarray(truth(grid), dtype=float)
         if vals.shape != grid.shape:
@@ -476,7 +505,19 @@ def ise_weights(kernels):
 
 def _parseval_ise(sample, weights, truth_values):
     """Trapezoid ISE for each weight row, by discrete Parseval on the
-    half spectrum of the grid."""
+    half spectrum of the grid.
+
+    Term j of a row lands in grid bin j as w_gj c_j, with c_j the bin's
+    share of the sample moments.  While every order stays inside the half
+    spectrum, J <= (N - 1)/2, nothing aliases and the sum over bins k of
+    m_k |X_gk - T_k|^2 (m_k: the bin's multiplicity) opens up into
+
+        sum_j w_gj^2 2|c_j|^2 - sum_j w_gj 4 Re(c_j conj T_j) + E_T,
+
+    E_T the truth's energy against the uniform DC bin: two products with
+    the weights instead of a (G, N/2 + 1) spectrum.  Longer series fold
+    their aliased orders onto the grid's bins one by one.
+    """
     N = len(truth_values)
     G, J = weights.shape
     half = N // 2 + 1
@@ -485,10 +526,23 @@ def _parseval_ise(sample, weights, truth_values):
     # DFT over the grid of the e^{ij theta} half of each cosine term; the
     # grid starts at -pi, hence (-1)^j
     coef = (N / 2.0) * np.where(js % 2, -1.0, 1.0) * (C - 1j * S) / (np.pi * sample.n)
-    X = np.zeros((G, half), dtype=complex)
-    X[:, 0] = N * (1.0 / (2.0 * np.pi))
+    T = np.fft.rfft(truth_values)
+    mult = np.full(half, 2.0)
+    mult[0] = 1.0
+    if N % 2 == 0:
+        mult[-1] = 1.0
+    scale = 2.0 * np.pi / N**2
     # j <= L lands in bin j and its conjugate outside the half spectrum
     L = min(J, (N - 1) // 2)
+    if L == J:
+        dc = N / (2.0 * np.pi) - T[0].real
+        energy = dc * dc + mult[1:] @ (T.real[1:] ** 2 + T.imag[1:] ** 2)
+        a = 2.0 * (coef.real**2 + coef.imag**2)
+        b = 4.0 * (coef.real * T.real[1 : J + 1] + coef.imag * T.imag[1 : J + 1])
+        quad = np.einsum("gj,gj,j->g", weights, weights, a)
+        return np.maximum(scale * (quad - weights @ b + energy), 0.0)
+    X = np.zeros((G, half), dtype=complex)
+    X[:, 0] = N * (1.0 / (2.0 * np.pi))
     np.multiply(weights[:, :L], coef[:L], out=X[:, 1 : L + 1])
     # higher j alias: term j lands in bin j mod N and its conjugate in bin
     # -j mod N, exactly as the sum over the grid folds them
@@ -498,28 +552,25 @@ def _parseval_ise(sample, weights, truth_values):
     neg = (N - bins) % N < half
     np.add.at(X, (slice(None), bins[pos]), terms[:, pos])
     np.add.at(X, (slice(None), ((N - bins) % N)[neg]), np.conj(terms[:, neg]))
-    T = np.fft.rfft(truth_values)
-    mult = np.full(half, 2.0)
-    mult[0] = 1.0
-    if N % 2 == 0:
-        mult[-1] = 1.0
     X -= T
     D = X.view(float)  # interleaved real and imaginary parts
     np.square(D, out=D)
-    return (2.0 * np.pi / N**2) * (D @ np.repeat(mult, 2))
+    return scale * (D @ np.repeat(mult, 2))
 
 
-def grid_ise(sample, kernels, truth, points=2048, weights=None):
+def grid_ise(sample, kernels, truth, points=_ISE_POINTS, weights=None):
     """Integrated squared error of the density estimate at each kernel
     (None for the uniform density) against a known density, by the
     periodic trapezoid rule on default_grid(points).
 
-    The rule is spectrally accurate for these smooth integrands.  It is
+    ``truth`` is the density as a callable or its values on that grid;
+    both give the same bits.  The
+    rule is spectrally accurate for these smooth integrands.  It is
     evaluated exactly in coefficient space by discrete Parseval, which
-    costs O(G (J + points)) for G kernels instead of a kernel sum at every
-    grid point; ``weights`` may pass in a precomputed ise_weights(kernels).
-    Families whose series does not converge (the wrapped Epanechnikov) sum
-    the estimate directly on the grid.
+    costs O(G J + points log points) for G kernels instead of a kernel sum
+    at every grid point; ``weights`` may pass in a precomputed
+    ise_weights(kernels).  Families whose series does not converge (the
+    wrapped Epanechnikov) sum the estimate directly on the grid.
     """
     grid = default_grid(points)
     tv = _truth_on_grid(truth, grid)

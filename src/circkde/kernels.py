@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import ToleranceError, UnsupportedKernelError
 from .special import (
+    _ratio_table,
     bessel_ratio,
     bessel_ratio_span,
-    bessel_ratios,
     find_root,
     i0e,
     inv_bessel_ratio,
@@ -200,11 +200,14 @@ class KernelSpec:
 
 
 def _alpha_block(spec, js):
-    """Vectorized alpha_j for an integer array js >= 1."""
+    """Vectorized alpha_j for an array js of consecutive integers >= 1."""
     fam = spec.family
     if fam == KernelFamily.VONMISES:
-        # one cached table per kappa, whose entries do not depend on its length
-        return bessel_ratios(spec.kappa, int(js.max())).ratios[js]
+        if spec.kappa == 0.0:
+            return np.zeros(len(js))
+        # a slice of the one cached table per kappa, whose entries do not
+        # depend on its length
+        return _ratio_table(spec.kappa, int(js[-1]))[js[0] : js[-1] + 1]
     if fam == KernelFamily.WRAPPEDNORMAL:
         if spec.nu == 0.0:
             return np.zeros(len(js))
@@ -240,18 +243,21 @@ def _tail_rule(c, total, consec, rel_tol):
     """
     mags = np.abs(c)
     # running sums in the same left-to-right order as term-by-term
-    # accumulation, so the result does not depend on the block sizes
-    running = np.cumsum(np.concatenate(([total], mags)))[1:]
-    small = mags <= rel_tol * np.maximum(running, 1e-300)
-    # length of the run of small terms ending at each index, counting
-    # the run carried over from the previous block
-    idx = np.arange(len(c))
-    last_big = np.maximum.accumulate(np.where(small, -1, idx))
-    runs = idx - last_big + np.where(last_big < 0, consec, 0)
-    stop = np.flatnonzero(runs >= 3)
-    if stop.size:
-        return int(stop[0]), total, consec
-    return None, float(running[-1]), int(runs[-1])
+    # accumulation (total + |c_0| first), so the result does not depend on
+    # the block sizes
+    running = mags.copy()
+    running[0] += total
+    np.cumsum(running, out=running)
+    total = float(running[-1])
+    np.maximum(running, 1e-300, out=running)
+    running *= rel_tol
+    # one byte per term, 1 where it is small, behind the carried run: the
+    # first b"\1\1\1" ends where three small terms in a row complete
+    flags = b"\1" * consec + (mags <= running).tobytes()
+    stop = flags.find(b"\1\1\1")
+    if stop >= 0:
+        return stop + 2 - consec, total, consec
+    return None, total, len(flags) - len(flags.rstrip(b"\1"))
 
 
 def _tail_series(block_terms, first_block, trunc, what):
@@ -273,6 +279,9 @@ def _tail_series(block_terms, first_block, trunc, what):
         terms, envelope = block_terms(j0, hi)
         stop, total, consec = _tail_rule(envelope, total, consec, trunc.rel_tol)
         if stop is not None:
+            # a copy, which holds neither the whole block nor a cached table
+            if not out:
+                return terms[: stop + 1].copy()
             out.append(terms[: stop + 1])
             return np.concatenate(out)
         out.append(terms)
@@ -288,7 +297,11 @@ def _series_weights(spec, growth, power, trunc):
 
     def block_terms(j0, hi):
         js = np.arange(j0, hi + 1)
-        c = js.astype(float) ** growth * _alpha_block(spec, js) ** power
+        c = _alpha_block(spec, js)
+        if power != 1:
+            c = c**power
+        if growth != 0:
+            c = js.astype(float) ** growth * c
         return c, c
 
     # von Mises: the orders where alpha_j ~ exp(-j^2 / 2 kappa) can still

@@ -581,11 +581,12 @@ def select_gold(sample, truth, cfg, grid=None):
     """Oracle selection: the grid concentration whose density estimate has
     the smallest realized integrated squared error against the truth.
 
-    The error is grid_ise's periodic trapezoid rule on its 2048-point
-    grid: computed for every candidate at once by discrete Parseval from
-    one table of kernel weights per (family, grid), or by direct grid sums
-    for the wrapped Epanechnikov.  Ties go to the smaller nu; a uniform
-    pick (nu = 0) is not a fallback.
+    ``truth`` is the density as a callable or its values on grid_ise's
+    2048-point grid.  The error is grid_ise's periodic trapezoid rule on
+    that grid: computed for every candidate at once by discrete Parseval
+    from one table of kernel weights per (family, grid), or by direct grid
+    sums for the wrapped Epanechnikov.  Ties go to the smaller nu; a
+    uniform pick (nu = 0) is not a fallback.
     """
     if grid is None:
         nus = default_gold_grid(cfg.kernel_family)

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .estimators import grid_ise
+from .estimators import _ISE_POINTS, _truth_on_grid, default_grid, grid_ise
 from .kernels import KernelSpec
 from .mixture import MixtureModel, mixture_density, mixture_sample
 from .selectors import _SOFT_ERRORS, SelectorConfig, select_gold
@@ -92,6 +92,7 @@ def realized_ise(sample, family, nu, density):
     """Integrated squared error of the KDE at concentration nu against the
     known density, by the periodic trapezoid rule on grid_ise's 2048-point
     equispaced grid (spectrally accurate for these smooth integrands).
+    ``density`` is a callable or its values on that grid.
 
     One row of grid_ise: computed exactly by discrete Parseval from the
     kernel weights and the sample moments, or by the direct grid sum for
@@ -104,7 +105,9 @@ def run_monte_carlo(model, selectors, n, replicates, seed=0, nu_grid=None, cfg=N
     """Score the named selectors (gold standard always included) on
     ``replicates`` fresh samples of size n from the model.
 
-    Per-replicate RNG streams are seeded by (seed, replicate index).
+    Per-replicate RNG streams are seeded by (seed, replicate index).  The
+    model density is evaluated once on grid_ise's grid, and the gold
+    standard and every realized ISE reuse those values.
     Selector fallbacks are counted; a numeric selector error (a soft error
     or ValueError) is counted and that replicate is excluded from the
     selector's average.  Any other exception propagates.
@@ -122,6 +125,7 @@ def run_monte_carlo(model, selectors, n, replicates, seed=0, nu_grid=None, cfg=N
     ises = {name: [] for name in labels}
     fallbacks = {name: 0 for name in labels}
     errors = {name: 0 for name in labels}
+    truth = _truth_on_grid(model.density, default_grid(_ISE_POINTS))
 
     for r in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
@@ -129,10 +133,10 @@ def run_monte_carlo(model, selectors, n, replicates, seed=0, nu_grid=None, cfg=N
         for name in labels:
             try:
                 if name == "gs":
-                    sel = select_gold(sample, model.density, cfg, grid=nu_grid)
+                    sel = select_gold(sample, truth, cfg, grid=nu_grid)
                 else:
                     sel = _SELECTOR_FNS[name](sample, cfg)
-                value = realized_ise(sample, cfg.kernel_family, sel.nu, model.density)
+                value = realized_ise(sample, cfg.kernel_family, sel.nu, truth)
             except _SOFT_ERRORS + (ValueError,):
                 errors[name] += 1
                 continue

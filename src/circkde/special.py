@@ -185,10 +185,11 @@ def _backward_ratios(kappa, lo, hi):
     r = kappa / (m + math.sqrt(m * m + kappa * kappa))
     for j in range(n, hi, -1):
         r = kappa / (2.0 * j + kappa * r)
-    out = [0.0] * (hi - lo + 1)
+    out = []
     for j in range(hi, lo - 1, -1):
         r = kappa / (2.0 * j + kappa * r)
-        out[j - lo] = r
+        out.append(r)
+    out.reverse()
     return out
 
 

@@ -385,6 +385,15 @@ class TestExitCodes:
         assert err["error"]["type"] == "parse"
         assert err["error"]["line"] == 2
 
+    def test_undecodable_input_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe")
+        code = main(["select", str(path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "parse"
+        assert "UTF-8" in err["message"]
+
     def test_missing_file_nonzero(self, capsys):
         code = main(["select", "/definitely/missing.txt"])
         assert code != 0

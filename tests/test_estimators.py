@@ -32,6 +32,8 @@ from circkde.estimators import (
     psi_hat,
 )
 from circkde.kernels import KernelFamily, KernelSpec, kernel_value
+from circkde.selectors import SelectorConfig, select_dpi
+from circkde.simulate import builtin_models
 
 
 def sample_of(*angles):
@@ -506,6 +508,88 @@ class TestGridIse:
 
         with pytest.raises(RuntimeError):
             grid_ise(rng_sample(10), [None], broken)
+
+
+ZOO_MODELS = {m.name: m for m in builtin_models()}
+FAMILY_KERNELS = {
+    "vonmises": KernelSpec.vonmises(kappa=20.0),
+    "wrappednormal": KernelSpec.wrapped_normal(0.9),
+    "wrappedcauchy": KernelSpec.wrapped_cauchy(0.7),
+    "cardioid": KernelSpec.cardioid(0.3),
+    "wrappedepanechnikov": KernelSpec.wrapped_epanechnikov(lam=0.8),
+    "uniform": None,
+}
+
+
+def zoo_sample(name, n, seed):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
+    return ZOO_MODELS[name].sampler(rng, n)
+
+
+class TestClosedFormParsevalRows:
+    """grid_ise's closed-form rows, used while no order aliases on the grid,
+    against the trapezoid rule summed directly on the grid."""
+
+    @pytest.mark.parametrize("kernel", list(FAMILY_KERNELS.values()), ids=list(FAMILY_KERNELS))
+    @pytest.mark.parametrize("n", [2, 70, 10_000])
+    def test_every_family_matches_direct_trapezoid(self, kernel, n):
+        truth = ZOO_MODELS["VM-MIX3"].density
+        s = zoo_sample("VM-MIX3", n, seed=3)
+        weights = ise_weights([kernel])
+        if weights is not None:
+            # no order aliases on the 2048-point grid: the closed form applies
+            assert weights.shape[1] <= 1023
+        fast = grid_ise(s, [kernel], truth)[0]
+        assert fast == pytest.approx(direct_trapezoid_ise(s, kernel, truth, 2048), rel=1e-10)
+
+    def test_small_ise_at_the_dpi_pick(self):
+        # n = 1e5: the ISE is orders of magnitude below the energies that
+        # the closed form subtracts
+        m = ZOO_MODELS["VM2"]
+        s = zoo_sample("VM2", 100_000, seed=7)
+        nu = select_dpi(s, SelectorConfig()).nu
+        kernel = KernelSpec.vonmises(nu=nu)
+        fast = grid_ise(s, [kernel], m.density)[0]
+        direct = direct_trapezoid_ise(s, kernel, m.density, 2048)
+        assert direct < 1e-4
+        assert fast == pytest.approx(direct, rel=1e-10)
+
+    def test_rows_of_one_table_match_direct_trapezoid(self):
+        m = ZOO_MODELS["SKEW"]
+        s = zoo_sample("SKEW", 200, seed=1)
+        kernels = [None] + [KernelSpec.vonmises(kappa=k) for k in (0.5, 4.0, 40.0, 900.0)]
+        rows = grid_ise(s, kernels, m.density, weights=ise_weights(kernels))
+        for kernel, value in zip(kernels, rows):
+            assert value == pytest.approx(direct_trapezoid_ise(s, kernel, m.density, 2048), rel=1e-10)
+
+
+class TestGridIseTruthValues:
+    """The truth's values on the grid in place of the truth callable."""
+
+    @pytest.mark.parametrize("family", ["vonmises", "wrappedepanechnikov"])
+    @pytest.mark.parametrize("points", [2048, 501])
+    def test_values_give_the_callables_bits(self, family, points):
+        m = ZOO_MODELS["VM-MIX2"]
+        s = zoo_sample("VM-MIX2", 60, seed=2)
+        kernels = [None] + [KernelSpec.from_nu(family, nu) for nu in (0.5, 0.9, 0.99)]
+        values = m.density(default_grid(points))
+        by_values = grid_ise(s, kernels, values, points)
+        by_callable = grid_ise(s, kernels, m.density, points)
+        assert np.array_equal(by_values, by_callable)
+
+    def test_scalar_only_callable_and_values_agree(self):
+        m = ZOO_MODELS["VM2"]
+        s = zoo_sample("VM2", 40, seed=5)
+        kernel = [KernelSpec.vonmises(kappa=6.0)]
+        scalar = grid_ise(s, kernel, lambda t: float(m.density(np.array([float(t)]))[0]))
+        values = grid_ise(s, kernel, np.array([m.density(np.array([t]))[0] for t in default_grid(2048)]))
+        assert np.array_equal(scalar, values)
+
+    def test_values_of_the_wrong_length_are_rejected(self):
+        m = ZOO_MODELS["VM2"]
+        s = CircularSample.from_data([0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="shape"):
+            grid_ise(s, [None], m.density(default_grid(512)))
 
 
 class TestSmoothnessIdentity:
