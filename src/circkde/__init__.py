@@ -28,6 +28,7 @@ from .estimators import (
     kde_deriv,
     kde_values,
     psi_hat,
+    truth_on_ise_grid,
 )
 from .kernels import (
     UNIFORM_BANDWIDTH,
@@ -110,6 +111,7 @@ __all__ = [
     "kde_deriv",
     "kde_values",
     "psi_hat",
+    "truth_on_ise_grid",
     # kernels
     "UNIFORM_BANDWIDTH",
     "UNIFORM_FALLBACK",

@@ -59,6 +59,7 @@ __all__ = [
     "ise",
     "ise_weights",
     "grid_ise",
+    "truth_on_ise_grid",
 ]
 
 # families with a cheap closed-form density (everything but wrapped normal)
@@ -69,16 +70,20 @@ _CLOSED_DENSITY = _HALF_ANGLE_FAMILIES | {KernelFamily.WRAPPEDEPANECHNIKOV}
 _DIRECT_ISE = {KernelFamily.WRAPPEDEPANECHNIKOV}
 
 # orders per rebase in _trig_parts and the width of its fine factor, and the
-# number of array elements a row block of a kernel sum or basis may hold:
-# 2^16 doubles (512 KB) ran faster than 2^14 or 2^18, measured while a
-# 3.3 MB per-call temporary of the Parseval ISE kept the process heap large
+# number of array elements a row block of a direct kernel sum or of the
+# moments' basis may hold: 2^16 doubles (512 KB) ran faster than 2^14 or
+# 2^18, measured while a 3.3 MB per-call temporary of the Parseval ISE kept
+# the process heap large
 _ORDERS = 64
 _FINE = 8
 _BLOCK_ELEMS = 1 << 16
 
-# the smaller block of a _spectral_sum over few angles: 2^14 doubles
-# (128 KB) stay below glibc's default mmap threshold, so such a call reuses
-# freed heap memory instead of faulting fresh pages in every time
+# the row block of a _spectral_sum: 2^14 doubles (128 KB) per basis buffer,
+# twice that at most for its _trig_parts table.  That is not below glibc's
+# default mmap threshold (128 KB), but the first such block freed raises
+# malloc's dynamic threshold past it, so later calls reuse freed heap memory
+# instead of faulting fresh pages in; scripts/bench_replicate.py counts the
+# minor faults per replicate
 _FLAT_ELEMS = 1 << 14
 
 # grid_ise's default grid, on which simulations score their estimates
@@ -317,11 +322,7 @@ def _spectral_sum(sample, weights, deriv_order, thetas):
     scale = np.zeros((2, nb * width, 1))
     scale[0, :J, 0], scale[1, :J, 0] = u, v
     su, sv = scale.reshape(2, nb, width, 1)
-    # each temporary holds at most _FLAT_ELEMS elements, or an eighth of the
-    # angles up to _BLOCK_ELEMS, so a call over many angles does not pay
-    # the per-block overhead hundreds of times
-    elems = max(_FLAT_ELEMS, min(len(thetas) * nb * width // 8, _BLOCK_ELEMS))
-    rows = max(1, min(len(thetas), elems // (nb * width)))
+    rows = max(1, min(len(thetas), _FLAT_ELEMS // (nb * width)))
     basis_buf, tmp_buf = np.empty(nb * width * rows), np.empty(nb * width * rows)
     for lo in range(0, len(thetas), rows):
         rebase, table = _trig_parts(thetas[lo : lo + rows], starts, width)
@@ -486,6 +487,12 @@ def _truth_on_grid(truth, grid):
     except (TypeError, ValueError):
         vals = np.array([float(truth(t)) for t in grid], dtype=float)
     return vals
+
+
+def truth_on_ise_grid(density):
+    """A known density's values on grid_ise's default grid, which grid_ise
+    takes as its ``truth`` in place of the callable, with the same bits."""
+    return _truth_on_grid(density, default_grid(_ISE_POINTS))
 
 
 def ise_weights(kernels):

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .estimators import _ISE_POINTS, _truth_on_grid, default_grid, grid_ise
+from .estimators import grid_ise, truth_on_ise_grid
 from .kernels import KernelSpec
 from .mixture import MixtureModel, mixture_density, mixture_sample
 from .selectors import _SOFT_ERRORS, SelectorConfig, select_gold
@@ -125,7 +125,7 @@ def run_monte_carlo(model, selectors, n, replicates, seed=0, nu_grid=None, cfg=N
     ises = {name: [] for name in labels}
     fallbacks = {name: 0 for name in labels}
     errors = {name: 0 for name in labels}
-    truth = _truth_on_grid(model.density, default_grid(_ISE_POINTS))
+    truth = truth_on_ise_grid(model.density)
 
     for r in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence([seed, r]))

@@ -30,6 +30,7 @@ from circkde.estimators import (
     kde_deriv,
     kde_values,
     psi_hat,
+    truth_on_ise_grid,
 )
 from circkde.kernels import KernelFamily, KernelSpec, kernel_value
 from circkde.selectors import SelectorConfig, select_dpi
@@ -584,6 +585,12 @@ class TestGridIseTruthValues:
         scalar = grid_ise(s, kernel, lambda t: float(m.density(np.array([float(t)]))[0]))
         values = grid_ise(s, kernel, np.array([m.density(np.array([t]))[0] for t in default_grid(2048)]))
         assert np.array_equal(scalar, values)
+
+    def test_truth_on_ise_grid_fits_the_default_grid(self):
+        m = ZOO_MODELS["VM-MIX3"]
+        s = zoo_sample("VM-MIX3", 50, seed=4)
+        kernels = [KernelSpec.vonmises(kappa=k) for k in (2.0, 30.0)]
+        assert np.array_equal(grid_ise(s, kernels, truth_on_ise_grid(m.density)), grid_ise(s, kernels, m.density))
 
     def test_values_of_the_wrong_length_are_rejected(self):
         m = ZOO_MODELS["VM2"]
