@@ -78,12 +78,12 @@ _ORDERS = 64
 _FINE = 8
 _BLOCK_ELEMS = 1 << 16
 
-# the row block of a _spectral_sum: 2^14 doubles (128 KB) per basis buffer,
-# twice that at most for its _trig_parts table.  That is not below glibc's
-# default mmap threshold (128 KB), but the first such block freed raises
-# malloc's dynamic threshold past it, so later calls reuse freed heap memory
-# instead of faulting fresh pages in; scripts/bench_replicate.py counts the
-# minor faults per replicate
+# the row block of a _spectral_sum: 2^14 doubles (128 KB) in each of its
+# two basis buffers, twice that in its _trig_parts table.  That is not below
+# glibc's default mmap threshold (128 KB), but the first such block freed
+# raises malloc's dynamic threshold past it, so later calls reuse freed heap
+# memory instead of faulting fresh pages in; scripts/bench_replicate.py
+# counts the minor faults per replicate
 _FLAT_ELEMS = 1 << 14
 
 # grid_ise's default grid, on which simulations score their estimates
@@ -304,8 +304,8 @@ def _spectral_sum(sample, weights, deriv_order, thetas):
     per angle, or a zero-padded (G, J) matrix with one kernel per row,
     giving a (len(thetas), G) array.  The cos/sin basis at the angles,
     scaled by the moments, comes from _trig_parts in blocks of angles and
-    meets the weights as they are in one product per block; no (J, G)
-    array is built.
+    meets the weights as they are in one product per block of angles and
+    _ORDERS orders; no (J, G) array is built.
     """
     J = weights.shape[-1]
     C, S = sample.trig_moments(J)
@@ -319,30 +319,34 @@ def _spectral_sum(sample, weights, deriv_order, thetas):
     u, v = ((C, S), (S, -C), (-C, -S), (-S, C))[deriv_order % 4]
     starts = np.arange(1, J + 1, _ORDERS)
     nb, width = len(starts), min(_ORDERS, J)
-    scale = np.zeros((2, nb * width, 1))
-    scale[0, :J, 0], scale[1, :J, 0] = u, v
-    su, sv = scale.reshape(2, nb, width, 1)
-    rows = max(1, min(len(thetas), _FLAT_ELEMS // (nb * width)))
-    basis_buf, tmp_buf = np.empty(nb * width * rows), np.empty(nb * width * rows)
+    rows = max(1, min(len(thetas), _FLAT_ELEMS // width))
+    buf = np.empty((2, width * rows))
     for lo in range(0, len(thetas), rows):
         rebase, table = _trig_parts(thetas[lo : lo + rows], starts, width)
-        rc, rs = rebase[:nb, None], rebase[nb:, None]
-        tc, ts = table[None, :width], table[None, width:]
         m = table.shape[1]
-        basis = basis_buf[: nb * width * m].reshape(nb, width, m)
-        tmp = tmp_buf[: nb * width * m].reshape(nb, width, m)
-        # cos(j x) u_j + sin(j x) v_j, with the angle addition of _trig_parts
-        np.multiply(rc, tc, out=basis)
-        np.multiply(rs, ts, out=tmp)
-        basis -= tmp
-        basis *= su
-        np.multiply(rs, tc, out=tmp)
-        tmp *= sv
-        basis += tmp
-        np.multiply(rc, ts, out=tmp)
-        tmp *= sv
-        basis += tmp
-        out[lo : lo + m] += (basis.reshape(nb * width, m)[:J].T @ weights.T) / (np.pi * sample.n)
+        basis, tmp = buf[:, : width * m].reshape(2, width, m)
+        tc, ts = table[:width], table[width:]
+        acc = 0.0
+        # one rebase block of orders j0 .. j0 + k - 1 at a time, so the
+        # temporaries do not grow with the number of orders
+        for b, j0 in enumerate(starts):
+            k = min(width, J + 1 - j0)
+            rc, rs = rebase[b], rebase[nb + b]
+            ub, vb = u[j0 - 1 : j0 - 1 + k, None], v[j0 - 1 : j0 - 1 + k, None]
+            bk, tk = basis[:k], tmp[:k]
+            # cos(j x) u_j + sin(j x) v_j, with the angle addition of _trig_parts
+            np.multiply(rc, tc[:k], out=bk)
+            np.multiply(rs, ts[:k], out=tk)
+            bk -= tk
+            bk *= ub
+            np.multiply(rs, tc[:k], out=tk)
+            tk *= vb
+            bk += tk
+            np.multiply(rc, ts[:k], out=tk)
+            tk *= vb
+            bk += tk
+            acc += bk.T @ weights[..., j0 - 1 : j0 - 1 + k].T
+        out[lo : lo + m] += acc / (np.pi * sample.n)
     return out
 
 

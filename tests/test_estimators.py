@@ -20,6 +20,7 @@ from scipy.special import ive
 from circkde.estimators import (
     CircularSample,
     _kde_rows,
+    _spectral_sum,
     DensityGrid,
     FunctionalEstimate,
     default_grid,
@@ -525,6 +526,28 @@ FAMILY_KERNELS = {
 def zoo_sample(name, n, seed):
     rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
     return ZOO_MODELS[name].sampler(rng, n)
+
+
+class TestSpectralSumBlocks:
+    """_spectral_sum against its cosine series summed term by term, with
+    series that end inside or on the edge of a block of orders and more
+    angles than one row block holds."""
+
+    @pytest.mark.parametrize("J", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_matches_the_literal_series(self, J, r):
+        s = rng_sample(50, seed=J)
+        rng = np.random.default_rng(r)
+        weights = rng.standard_normal((3, J))
+        thetas = rng.uniform(-np.pi, np.pi, 300)
+        j = np.arange(1, J + 1)
+        C, S = s.trig_moments(J)
+        phase = np.multiply.outer(thetas, j) + r * np.pi / 2
+        series = (np.cos(phase) * C + np.sin(phase) * S) / (np.pi * s.n)
+        expect = series @ weights.T + (1.0 / (2.0 * np.pi) if r == 0 else 0.0)
+        tol = 1e-12 * np.abs(expect).max()
+        np.testing.assert_allclose(_spectral_sum(s, weights, r, thetas), expect, rtol=0, atol=tol)
+        np.testing.assert_allclose(_spectral_sum(s, weights[1], r, thetas), expect[:, 1], rtol=0, atol=tol)
 
 
 class TestClosedFormParsevalRows:
