@@ -64,13 +64,14 @@ class ModeReport:
 
     ``modes`` and ``antimodes`` are (angle, clock string) pairs; the
     clock entry is None unless the input was time-based.  An empty
-    report with ``uniform`` set means the selector fell back to the
-    uniform density, which has no modes.
+    report with ``uniform`` set means the derivative estimate has no
+    sign change, as for the uniform density that a selector picked or
+    fell back to.
     """
 
     modes: tuple
     antimodes: tuple
-    deriv_grid: DensityGrid | None
+    deriv_grid: DensityGrid
     uniform: bool = False
 
     def to_json(self):
@@ -202,18 +203,6 @@ def cmd_select(ingest, cfg, method):
     return select(_load_sample(ingest), cfg)
 
 
-def _spec_or_uniform(cfg, nu):
-    return None if nu == 0.0 else KernelSpec.from_nu(cfg.kernel_family, nu)
-
-
-def _estimate_on_grid(sample, spec, grid, deriv_order):
-    if spec is None:
-        if deriv_order == 0:
-            return np.full(len(grid), 1.0 / (2.0 * np.pi))
-        return np.zeros(len(grid))
-    return kde_values(sample, spec, grid, deriv_order=deriv_order)
-
-
 def cmd_density(ingest, cfg, method, grid_size=512, deriv_order=0, out_path=None, nu=None):
     """Write the density (or derivative) estimate on an equispaced grid as
     CSV with metadata comments, 9 significant digits."""
@@ -227,8 +216,8 @@ def cmd_density(ingest, cfg, method, grid_size=512, deriv_order=0, out_path=None
         chosen_nu, method_label, fallback = sel.nu, method, sel.fallback_uniform
 
     grid = default_grid(grid_size)
-    spec = _spec_or_uniform(cfg, chosen_nu)
-    values = _estimate_on_grid(sample, spec, grid, deriv_order)
+    spec = KernelSpec.from_nu(cfg.kernel_family, chosen_nu)
+    values = kde_values(sample, spec, grid, deriv_order=deriv_order)
 
     buf = io.StringIO()
     buf.write("# circkde density estimate\n")
@@ -262,9 +251,6 @@ def cmd_modes(ingest, cfg, method):
     cfg = dataclasses.replace(cfg, r=1)
     sample = _load_sample(ingest)
     sel = select(sample, cfg)
-    if sel.fallback_uniform or sel.nu == 0.0:
-        return ModeReport(modes=(), antimodes=(), deriv_grid=None, uniform=True)
-
     spec = KernelSpec.from_nu(cfg.kernel_family, sel.nu)
     grid = default_grid(2880)
     deriv = kde_values(sample, spec, grid, deriv_order=1)
@@ -275,7 +261,7 @@ def cmd_modes(ingest, cfg, method):
 
     time_based = AngleFormat(ingest.format) in (AngleFormat.HHMM, AngleFormat.MINUTES)
     scale = float(np.max(np.abs(deriv)))
-    if scale == 0.0:
+    if scale == 0.0:  # the uniform density, picked or fallen back to
         return ModeReport(modes=(), antimodes=(), deriv_grid=dg, uniform=True)
 
     # labelled crossings in circular order; crossings where both sides sit at
@@ -387,8 +373,6 @@ def _build_parser():
             p.add_argument("--column", default=None, help="CSV column name or index")
         p.add_argument("--kernel", default="vonmises", help="kernel family for the estimate")
         p.add_argument("--pilot-kernel", default="vonmises", help="pilot kernel family")
-        p.add_argument("--method", choices=sorted(SELECTORS), default="dpi")
-        p.add_argument("--deriv-order", type=int, default=0)
         p.add_argument("--nstage", type=int, default=2)
         p.add_argument("--mmax", type=int, default=1)
         p.add_argument("--exact-inversion", action="store_true")
@@ -413,6 +397,14 @@ def _build_parser():
     p_sim.add_argument("--n", default="100")
     p_sim.add_argument("--replicates", type=int, default=100)
 
+    # each flag only where it is read, so that argparse rejects it elsewhere:
+    # modes always smooths for the first derivative, simulate runs the
+    # selectors named by --selectors
+    for p in (p_select, p_density, p_modes):
+        p.add_argument("--method", choices=sorted(SELECTORS), default="dpi")
+    for p in (p_select, p_density, p_sim):
+        p.add_argument("--deriv-order", type=int, default=0)
+
     return parser
 
 
@@ -421,7 +413,7 @@ def _config_from_args(args):
         return SelectorConfig(
             kernel_family=KernelFamily(args.kernel),
             pilot_family=KernelFamily(args.pilot_kernel),
-            r=args.deriv_order,
+            r=getattr(args, "deriv_order", 0),
             nstage=args.nstage,
             M_max=args.mmax,
             exact_inversion=args.exact_inversion,

@@ -71,9 +71,9 @@ _DIRECT_ISE = {KernelFamily.WRAPPEDEPANECHNIKOV}
 
 # orders per rebase in _trig_parts and the width of its fine factor, and the
 # number of array elements a row block of a direct kernel sum or of the
-# moments' basis may hold: 2^16 doubles (512 KB) ran faster than 2^14 or
-# 2^18, measured while a 3.3 MB per-call temporary of the Parseval ISE kept
-# the process heap large
+# moments' basis may hold: 2^16 doubles (512 KB).  At n = 1e4 (2-core Xeon
+# VM, one thread) a 512-point kde took 20 ms against 22-30 ms at 2^14 and
+# 20-26 ms at 2^18, and a large-n benchmark op 59-71 ms against 64-82 ms
 _ORDERS = 64
 _FINE = 8
 _BLOCK_ELEMS = 1 << 16
@@ -311,7 +311,7 @@ def _spectral_sum(sample, weights, deriv_order, thetas):
     C, S = sample.trig_moments(J)
     base = 1.0 / (2.0 * np.pi) if deriv_order == 0 else 0.0
     out = np.full((len(thetas),) + weights.shape[:-1], base)
-    if J == 0:  # ise_weights of uniform kernels only
+    if J == 0:  # uniform kernels only
         return out
     # sum_i cos(j (x - Theta_i) + r pi/2) = cos(j x) u_j + sin(j x) v_j: the
     # phase of the differentiated series is a quarter turn, which swaps and
@@ -377,14 +377,12 @@ def kde_values(sample, kernel, points, deriv_order=0):
 
 
 def _kde_rows(sample, kernels, points, weights=None):
-    """Density estimates at the given angles, one row per kernel (None:
-    the uniform density): from the kernels' cosine series in one pass when
-    ``weights`` holds their ise_weights matrix, otherwise kernel by kernel
-    through kde_values."""
+    """Density estimates at the given angles, one row per kernel: from the
+    kernels' cosine series in one pass when ``weights`` holds their
+    ise_weights matrix, otherwise kernel by kernel through kde_values."""
     if weights is not None:
         return _spectral_sum(sample, weights, 0, points).T
-    uniform = np.full(len(points), 1.0 / (2.0 * np.pi))
-    return np.array([uniform if k is None else kde_values(sample, k, points) for k in kernels])
+    return np.array([kde_values(sample, k, points) for k in kernels])
 
 
 def kde(sample, kernel, thetas=None):
@@ -501,12 +499,12 @@ def truth_on_ise_grid(density):
 
 def ise_weights(kernels):
     """Zero-padded (G, J) matrix whose row g holds the cosine weights
-    derivative_weights(kernels[g], 0); a None kernel (the uniform density)
-    is a zero row.  Returns None when a kernel's series cannot be summed to
-    tolerance, in which case grid_ise sums the estimate directly."""
-    if any(k is not None and k.family in _DIRECT_ISE for k in kernels):
+    derivative_weights(kernels[g], 0); the uniform density (nu = 0) of any
+    family is a zero row.  Returns None when a kernel's series cannot be
+    summed to tolerance, in which case grid_ise sums the estimate directly."""
+    if any(k.nu > 0.0 and k.family in _DIRECT_ISE for k in kernels):
         return None
-    rows = [np.empty(0) if k is None else derivative_weights(k, 0) for k in kernels]
+    rows = [derivative_weights(k, 0) for k in kernels]
     out = np.zeros((len(rows), max(map(len, rows), default=0)))
     for g, w in enumerate(rows):
         out[g, : len(w)] = w
@@ -571,8 +569,8 @@ def _parseval_ise(sample, weights, truth_values):
 
 def grid_ise(sample, kernels, truth, points=_ISE_POINTS, weights=None):
     """Integrated squared error of the density estimate at each kernel
-    (None for the uniform density) against a known density, by the
-    periodic trapezoid rule on default_grid(points).
+    against a known density, by the periodic trapezoid rule on
+    default_grid(points).
 
     ``truth`` is the density as a callable or its values on that grid;
     both give the same bits.  The
@@ -581,7 +579,8 @@ def grid_ise(sample, kernels, truth, points=_ISE_POINTS, weights=None):
     costs O(G J + points log points) for G kernels instead of a kernel sum
     at every grid point; ``weights`` may pass in a precomputed
     ise_weights(kernels).  Families whose series does not converge (the
-    wrapped Epanechnikov) sum the estimate directly on the grid.
+    wrapped Epanechnikov, except its uniform density) sum the estimate
+    directly on the grid.
     """
     grid = default_grid(points)
     tv = _truth_on_grid(truth, grid)

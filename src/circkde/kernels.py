@@ -178,7 +178,11 @@ class KernelSpec:
 
     @classmethod
     def from_nu(cls, family, nu):
+        """The family's kernel at mean resultant length nu; nu = 0 is the
+        uniform density in every family."""
         family = KernelFamily(family)
+        if nu == 0.0:
+            return cls(family, 0.0, kappa=0.0 if family == KernelFamily.VONMISES else None)
         if family == KernelFamily.VONMISES:
             return cls.vonmises(nu=nu)
         if family == KernelFamily.WRAPPEDNORMAL:
@@ -202,21 +206,17 @@ class KernelSpec:
 def _alpha_block(spec, js):
     """Vectorized alpha_j for an array js of consecutive integers >= 1."""
     fam = spec.family
+    if spec.nu == 0.0:
+        return np.zeros(len(js))
     if fam == KernelFamily.VONMISES:
-        if spec.kappa == 0.0:
-            return np.zeros(len(js))
         # a slice of the one cached table per kappa, whose entries do not
         # depend on its length
         return _ratio_table(spec.kappa, int(js[-1]))[js[0] : js[-1] + 1]
     if fam == KernelFamily.WRAPPEDNORMAL:
-        if spec.nu == 0.0:
-            return np.zeros(len(js))
         # nu^(j^2) through logs to dodge premature underflow in the power
         with np.errstate(under="ignore"):
             return np.exp(js.astype(float) ** 2 * math.log(spec.nu))
     if fam == KernelFamily.WRAPPEDCAUCHY:
-        if spec.nu == 0.0:
-            return np.zeros(len(js))
         with np.errstate(under="ignore"):
             return np.exp(js.astype(float) * math.log(spec.nu))
     if fam == KernelFamily.CARDIOID:
@@ -317,9 +317,12 @@ def derivative_weights(spec, deriv_order=0):
     """Truncated array of cosine-series weights j^r * alpha_j for j = 1..J,
     with J chosen by the tail rule.  These drive the spectral evaluation of
     the estimators: a sum of kernels collapses onto the sample's trigonometric
-    moments with exactly these weights."""
+    moments with exactly these weights.  The uniform density (nu = 0) has
+    none: J = 0."""
     if deriv_order < 0:
         raise ValueError(f"deriv_order must be nonnegative, got {deriv_order}")
+    if spec.nu == 0.0:
+        return np.empty(0)
     return _series_weights(spec, deriv_order, 1, DEFAULT_TRUNCATION)
 
 
@@ -556,6 +559,9 @@ def kernel_value(spec, theta, deriv_order=0):
     fam = spec.family
     two_pi = 2.0 * np.pi
 
+    if spec.nu == 0.0:  # the uniform density: every derivative vanishes
+        out = np.full(np.shape(np.atleast_1d(theta)), 1.0 / two_pi if r == 0 else 0.0)
+        return float(out[0]) if scalar else out
     if fam == KernelFamily.WRAPPEDEPANECHNIKOV and r >= 3:
         raise UnsupportedKernelError(
             "wrapped Epanechnikov derivatives beyond order 2 are distributional"
@@ -566,9 +572,7 @@ def kernel_value(spec, theta, deriv_order=0):
         out = _half_angle_density(spec, np.sin(0.5 * np.atleast_1d(theta).astype(float)) ** 2)
         return float(out[0]) if scalar else out
     th = np.atleast_1d(wrap_angle(theta)).astype(float)
-    if spec.nu == 0.0:
-        out = np.full(th.shape, 1.0 / two_pi) if r == 0 else np.zeros(th.shape)
-    elif fam == KernelFamily.WRAPPEDEPANECHNIKOV:
+    if fam == KernelFamily.WRAPPEDEPANECHNIKOV:
         lam = spec.lam
         inside = np.abs(th) < lam
         if r == 0:

@@ -41,8 +41,6 @@ _WEIGHT_FLOOR = 1e-10
 # the EM budget of every fit: restarts per component count, iterations per run
 _EM_RESTARTS = 10
 _EM_MAX_ITER = 500
-# psi_from_model's tail rule is the kernels' one; tests import it by this name
-_PSI_TRUNCATION = DEFAULT_TRUNCATION
 
 
 @dataclass(frozen=True)

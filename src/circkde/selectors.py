@@ -195,34 +195,32 @@ def pilot_h_amse(psi_s2, n, family, s):
 
 def _selection(method, spec, trace, fallback=False):
     """The one constructor of SmoothingSelection: the pick at kernel
-    ``spec``, or the uniform density (nu = 0, no concentration) at None."""
-    if spec is None:
-        nu, h, conc = 0.0, UNIFORM_BANDWIDTH, None
-    else:
-        nu, h, conc = spec.nu, bandwidth(spec), spec.concentration
+    ``spec``; the uniform density (nu = 0) reports no concentration."""
     return SmoothingSelection(
-        nu=nu,
-        h=h,
-        kappa_or_lambda=conc,
+        nu=spec.nu,
+        h=bandwidth(spec),
+        kappa_or_lambda=spec.concentration if spec.nu > 0.0 else None,
         method=method,
         fallback_uniform=fallback,
         trace=tuple(trace),
     )
 
 
-def _fallback(method, trace, reason):
-    return _selection(method, None, [*trace, TraceEntry(label=f"fallback:{reason}")], fallback=True)
+def _fallback(cfg, method, trace, reason):
+    """The uniform density of the configured family, flagged as a fallback."""
+    uniform = KernelSpec.from_nu(cfg.kernel_family, 0.0)
+    return _selection(method, uniform, [*trace, TraceEntry(label=f"fallback:{reason}")], fallback=True)
 
 
 def _finalize(h_target, cfg, method, trace):
     """Invert the target bandwidth for the final kernel and package up."""
     if is_uniform_fallback(h_target):
-        return _fallback(method, trace, "uniform-functional")
+        return _fallback(cfg, method, trace, "uniform-functional")
     spec = concentration_from_bandwidth(
         cfg.kernel_family, float(h_target), exact=cfg.exact_inversion
     )
     if is_uniform_fallback(spec):
-        return _fallback(method, trace, "bandwidth-at-uniform")
+        return _fallback(cfg, method, trace, "bandwidth-at-uniform")
     final = TraceEntry(label="final", pilot_h=float(h_target), pilot_nu=spec.nu)
     return _selection(method, spec, [*trace, final])
 
@@ -249,7 +247,7 @@ def select_rt(sample, cfg):
         report = fit_em(sample, 1, seed=cfg.seed)
         psi = psi_from_model(report.model, 2 * cfg.r + 4)
     except _SOFT_ERRORS:
-        return _fallback(SelectorMethod.RT, trace, "reference-fit")
+        return _fallback(cfg, SelectorMethod.RT, trace, "reference-fit")
     trace.append(TraceEntry(label=f"psi{2 * cfg.r + 4}:reference", psi=psi))
     h = optimal_h_amise(psi, sample.n, cfg.kernel_family, cfg.r)
     return _finalize(h, cfg, SelectorMethod.RT, trace)
@@ -286,7 +284,7 @@ def select_dpi(sample, cfg):
     try:
         h = _dpi_h(sample, cfg, trace)
     except _SOFT_ERRORS:
-        return _fallback(SelectorMethod.DPI, trace, "cascade-error")
+        return _fallback(cfg, SelectorMethod.DPI, trace, "cascade-error")
     return _finalize(h, cfg, SelectorMethod.DPI, trace)
 
 
@@ -343,7 +341,7 @@ def select_ste(sample, cfg):
     try:
         gap = _ste_gap(sample, cfg, trace)
         if gap is None:
-            return _fallback(SelectorMethod.STE, trace, "pilot-chain")
+            return _fallback(cfg, SelectorMethod.STE, trace, "pilot-chain")
         # every value of g is a psi_hat with a fresh pilot kernel; the root
         # that Brent returns and the ends of the first prescan have all been
         # evaluated before, so the residual and the fallback reuse them
@@ -374,7 +372,7 @@ def select_ste(sample, cfg):
             return _finalize(h, cfg, SelectorMethod.STE, trace)
         trace.append(TraceEntry(label="ste-residual", psi=abs(g(root)), pilot_h=root))
     except _SOFT_ERRORS:
-        return _fallback(SelectorMethod.STE, trace, "numeric-error")
+        return _fallback(cfg, SelectorMethod.STE, trace, "numeric-error")
     return _finalize(root, cfg, SelectorMethod.STE, trace)
 
 
@@ -401,16 +399,17 @@ def _first_root(g, lo, hi, tol, trace):
 
 
 def _lcv_candidates(family, hs, exact):
-    """Kernels at the given bandwidths (None at or beyond the uniform
-    bandwidth), their ise_weights matrix (None for a family summed
+    """Kernels at the given bandwidths (the uniform density at or beyond
+    its bandwidth), their ise_weights matrix (None for a family summed
     directly) and their peak values K(0)."""
+    uniform = KernelSpec.from_nu(family, 0.0)
     specs = []
     for h in hs:
-        spec = None
+        spec = uniform
         if h < UNIFORM_BANDWIDTH * (1.0 - 1e-12):
             spec = concentration_from_bandwidth(family, float(h), exact=exact)
-        specs.append(None if is_uniform_fallback(spec) else spec)
-    peaks = np.array([1.0 / (2.0 * np.pi) if s is None else roughness(s, 0, 1) for s in specs])
+        specs.append(uniform if is_uniform_fallback(spec) else spec)
+    peaks = np.array([roughness(s, 0, 1) for s in specs])
     peaks.flags.writeable = False
     return tuple(specs), ise_weights(specs), peaks
 
@@ -473,9 +472,8 @@ def _rescore_floor(sample, specs, peaks, loo, objs):
 
 
 def _lcv_objectives(sample, specs, weights, peaks):
-    """Leave-one-out log-likelihood of each candidate kernel (None: the
-    uniform density); -inf where a leave-one-out density is nonpositive
-    or not finite.
+    """Leave-one-out log-likelihood of each candidate kernel; -inf where a
+    leave-one-out density is nonpositive or not finite.
 
     The full estimate at the sample points comes from the kernels' cosine
     series on the sample's moments, for every candidate at once; without
@@ -487,7 +485,8 @@ def _lcv_objectives(sample, specs, weights, peaks):
     n = sample.n
     loo = (n * _kde_rows(sample, specs, sample.angles, weights) - peaks[:, None]) / (n - 1)
     objs = _log_likelihood(loo)
-    objs[np.array([s is None for s in specs])] = -n * math.log(2.0 * np.pi)
+    # the uniform density's objective, free of the rounding of the sums
+    objs[np.array([s.nu == 0.0 for s in specs])] = -n * math.log(2.0 * np.pi)
     if weights is not None:
         _rescore_floor(sample, specs, peaks, loo, objs)
     return objs
@@ -515,7 +514,7 @@ def select_lcv(sample, cfg):
         objs = _lcv_objectives(sample, specs, weights, peaks)
         best = int(np.argmax(objs))
         if not np.isfinite(objs[best]):
-            return _fallback(SelectorMethod.LCV, trace, "objective-degenerate")
+            return _fallback(cfg, SelectorMethod.LCV, trace, "objective-degenerate")
         # one parabolic step off the grid: continuous in the objective
         # values, so roundoff from a data rotation cannot move the answer
         # across an optimizer plateau
@@ -531,13 +530,14 @@ def select_lcv(sample, cfg):
                 if d2 != 0.0:
                     u_star = float(np.clip(ub - 0.5 * d1 / d2, ua, uc))
         h_star = math.exp(u_star)
-        obj_star = _lcv_objectives(sample, *_lcv_candidates(family, [h_star], exact))[0]
+        specs, weights, peaks = _lcv_candidates(family, [h_star], exact)
+        obj_star = _lcv_objectives(sample, specs, weights, peaks)[0]
         trace.append(TraceEntry(label="lcv-objective", psi=float(obj_star)))
         if h_star >= UNIFORM_BANDWIDTH * (1.0 - 1e-12):
-            return _selection(SelectorMethod.LCV, None, trace)
+            return _selection(SelectorMethod.LCV, specs[0], trace)
         return _finalize(h_star, cfg, SelectorMethod.LCV, trace)
     except _SOFT_ERRORS:
-        return _fallback(SelectorMethod.LCV, trace, "numeric-error")
+        return _fallback(cfg, SelectorMethod.LCV, trace, "numeric-error")
 
 
 # the data-driven selectors by name; the gold standard also needs the truth
@@ -571,9 +571,9 @@ def default_gold_grid(family):
 
 @lru_cache(maxsize=16)
 def _gold_table(family, nus):
-    """Candidate kernels (None for the uniform point) and their ISE weight
-    matrix for one (family, grid); built once and shared by every sample."""
-    kernels = tuple(None if nu == 0.0 else KernelSpec.from_nu(family, nu) for nu in nus)
+    """Candidate kernels and their ISE weight matrix for one (family,
+    grid); built once and shared by every sample."""
+    kernels = tuple(KernelSpec.from_nu(family, nu) for nu in nus)
     return kernels, ise_weights(kernels)
 
 
@@ -598,6 +598,5 @@ def select_gold(sample, truth, cfg, grid=None):
     ises = grid_ise(sample, specs, truth, weights=weights)
     best = int(np.argmin(ises))  # first minimum: ties keep the smaller nu
     spec = specs[best]
-    nu = 0.0 if spec is None else spec.nu
-    trace = [TraceEntry(label="gold-ise", psi=float(ises[best]), pilot_nu=nu)]
+    trace = [TraceEntry(label="gold-ise", psi=float(ises[best]), pilot_nu=spec.nu)]
     return _selection(SelectorMethod.GS, spec, trace)

@@ -97,8 +97,7 @@ def realized_ise(sample, family, nu, density):
     One row of grid_ise: computed exactly by discrete Parseval from the
     kernel weights and the sample moments, or by the direct grid sum for
     the wrapped Epanechnikov."""
-    kernel = None if nu == 0.0 else KernelSpec.from_nu(family, nu)
-    return float(grid_ise(sample, [kernel], density)[0])
+    return float(grid_ise(sample, [KernelSpec.from_nu(family, nu)], density)[0])
 
 
 def run_monte_carlo(model, selectors, n, replicates, seed=0, nu_grid=None, cfg=None):

@@ -407,6 +407,10 @@ class TestExitCodes:
             (["select"], "required"),
             (["density", "{path}", "--grid-size", "many"], "invalid int value"),
             ([], "required"),
+            # flags registered only where they are read: modes always smooths
+            # for the first derivative, simulate runs --selectors
+            (["modes", "{path}", "--deriv-order", "3"], "unrecognized arguments: --deriv-order 3"),
+            (["simulate", "--method", "lcv"], "unrecognized arguments: --method lcv"),
         ],
     )
     def test_usage_errors_are_json(self, tmp_path, capsys, argv, needle):
@@ -441,7 +445,7 @@ class TestSelectorTable:
         sub = next(a for a in parser._actions if a.dest == "command").choices[command]
         return set(next(a for a in sub._actions if a.dest == "method").choices)
 
-    @pytest.mark.parametrize("command", ["select", "density", "modes", "simulate"])
+    @pytest.mark.parametrize("command", ["select", "density", "modes"])
     def test_method_choices_are_the_table(self, command):
         assert self.method_choices(command) == set(SELECTORS)
         assert set(SELECTORS) == {m.value for m in SelectorMethod} - {"gs"}
@@ -587,6 +591,14 @@ class TestSmallInputs:
         assert main(["density", path, "--method", method, "--grid-size", "8"]) == 0
         rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
         assert rows[1:] == [f"{t:.9g},{1.0 / (2.0 * np.pi):.9g}" for t in default_grid(8)]
+
+    def test_uniform_pick_reports_its_flat_derivative(self, tmp_path):
+        path = radians_file(tmp_path, [0.3] * 10)
+        report = cmd_modes(IngestSpec(path), SelectorConfig(), "rt")
+        assert report.uniform and report.modes == () and report.antimodes == ()
+        assert report.deriv_grid.kernel == KernelSpec.from_nu(KernelFamily.VONMISES, 0.0)
+        assert report.deriv_grid.deriv_order == 1
+        assert np.all(report.deriv_grid.values == 0.0)
 
     def test_identical_angles_lcv_takes_the_narrowest_kernel(self, tmp_path, capsys):
         path = radians_file(tmp_path, [0.3] * 10)

@@ -412,11 +412,15 @@ class TestIse:
         assert ise(est, truth) >= 0.0
 
 
+# the uniform density, which every family reaches at nu = 0
+UNIFORM = KernelSpec.from_nu(KernelFamily.VONMISES, 0.0)
+
+
 def direct_trapezoid_ise(sample, kernel, truth, points):
     """Reference: the estimate summed directly at every grid point, then
     the periodic trapezoid rule."""
     grid = default_grid(points)
-    if kernel is None:
+    if kernel.nu == 0.0:
         fhat = np.full(points, 1.0 / (2.0 * np.pi))
     else:
         fhat = kde_values(sample, kernel, grid)
@@ -437,7 +441,7 @@ class TestGridIse:
             KernelSpec.wrapped_normal(0.8),
             KernelSpec.wrapped_cauchy(0.7),
             KernelSpec.cardioid(0.3),
-            None,
+            UNIFORM,
         ],
         ids=["vm3", "vm400", "wn", "wc", "cardioid", "uniform"],
     )
@@ -458,7 +462,7 @@ class TestGridIse:
 
     def test_rows_match_single_kernels(self):
         s = rng_sample(50, seed=2)
-        kernels = [None, KernelSpec.vonmises(kappa=1.0), KernelSpec.vonmises(kappa=60.0)]
+        kernels = [UNIFORM, KernelSpec.vonmises(kappa=1.0), KernelSpec.vonmises(kappa=60.0)]
         weights = ise_weights(kernels)
         assert weights.shape[0] == 3 and not weights[0].any()
         rows = grid_ise(s, kernels, vm2_truth, 2048, weights)
@@ -468,18 +472,19 @@ class TestGridIse:
     def test_uniform_against_uniform_is_exactly_zero(self):
         s = rng_sample(30, seed=4)
         flat = lambda t: np.full(np.shape(t), 1.0 / (2.0 * np.pi))
-        assert grid_ise(s, [None], flat)[0] == 0.0
+        assert grid_ise(s, [UNIFORM], flat)[0] == 0.0
 
     def test_wrapped_epanechnikov_sums_directly(self):
         s = rng_sample(30, seed=6)
         kernel = KernelSpec.wrapped_epanechnikov(lam=0.8)
-        assert ise_weights([kernel, None]) is None
+        assert ise_weights([kernel, KernelSpec.from_nu(KernelFamily.WRAPPEDEPANECHNIKOV, 0.0)]) is None
         value = grid_ise(s, [kernel], vm2_truth)[0]
         assert value == direct_trapezoid_ise(s, kernel, vm2_truth, 2048)
 
     def test_wrapped_epanechnikov_rows_match_single_kernels(self):
         s = rng_sample(30, seed=6)
-        kernels = [KernelSpec.wrapped_epanechnikov(lam=lam) for lam in (0.3, 0.8)] + [None]
+        kernels = [KernelSpec.wrapped_epanechnikov(lam=lam) for lam in (0.3, 0.8)]
+        kernels.append(KernelSpec.from_nu(KernelFamily.WRAPPEDEPANECHNIKOV, 0.0))
         rows = grid_ise(s, kernels, vm2_truth)
         for kernel, value in zip(kernels, rows):
             assert value == pytest.approx(direct_trapezoid_ise(s, kernel, vm2_truth, 2048), rel=1e-13)
@@ -487,7 +492,7 @@ class TestGridIse:
     @pytest.mark.parametrize("family", [KernelFamily.VONMISES, KernelFamily.WRAPPEDEPANECHNIKOV])
     def test_kde_rows_match_kde_values(self, family):
         s = rng_sample(40, seed=9)
-        kernels = [None] + [KernelSpec.from_nu(family, nu) for nu in (0.5, 0.9, 0.99)]
+        kernels = [KernelSpec.from_nu(family, nu) for nu in (0.0, 0.5, 0.9, 0.99)]
         points = np.linspace(-3.0, 3.0, 7)
         weights = ise_weights(kernels)
         assert (weights is None) == (family == KernelFamily.WRAPPEDEPANECHNIKOV)
@@ -509,7 +514,7 @@ class TestGridIse:
             raise RuntimeError("density bug")
 
         with pytest.raises(RuntimeError):
-            grid_ise(rng_sample(10), [None], broken)
+            grid_ise(rng_sample(10), [UNIFORM], broken)
 
 
 ZOO_MODELS = {m.name: m for m in builtin_models()}
@@ -519,7 +524,7 @@ FAMILY_KERNELS = {
     "wrappedcauchy": KernelSpec.wrapped_cauchy(0.7),
     "cardioid": KernelSpec.cardioid(0.3),
     "wrappedepanechnikov": KernelSpec.wrapped_epanechnikov(lam=0.8),
-    "uniform": None,
+    "uniform": UNIFORM,
 }
 
 
@@ -581,7 +586,7 @@ class TestClosedFormParsevalRows:
     def test_rows_of_one_table_match_direct_trapezoid(self):
         m = ZOO_MODELS["SKEW"]
         s = zoo_sample("SKEW", 200, seed=1)
-        kernels = [None] + [KernelSpec.vonmises(kappa=k) for k in (0.5, 4.0, 40.0, 900.0)]
+        kernels = [UNIFORM] + [KernelSpec.vonmises(kappa=k) for k in (0.5, 4.0, 40.0, 900.0)]
         rows = grid_ise(s, kernels, m.density, weights=ise_weights(kernels))
         for kernel, value in zip(kernels, rows):
             assert value == pytest.approx(direct_trapezoid_ise(s, kernel, m.density, 2048), rel=1e-10)
@@ -595,7 +600,7 @@ class TestGridIseTruthValues:
     def test_values_give_the_callables_bits(self, family, points):
         m = ZOO_MODELS["VM-MIX2"]
         s = zoo_sample("VM-MIX2", 60, seed=2)
-        kernels = [None] + [KernelSpec.from_nu(family, nu) for nu in (0.5, 0.9, 0.99)]
+        kernels = [KernelSpec.from_nu(family, nu) for nu in (0.0, 0.5, 0.9, 0.99)]
         values = m.density(default_grid(points))
         by_values = grid_ise(s, kernels, values, points)
         by_callable = grid_ise(s, kernels, m.density, points)
@@ -619,7 +624,7 @@ class TestGridIseTruthValues:
         m = ZOO_MODELS["VM2"]
         s = CircularSample.from_data([0.1, 0.2, 0.3])
         with pytest.raises(ValueError, match="shape"):
-            grid_ise(s, [None], m.density(default_grid(512)))
+            grid_ise(s, [UNIFORM], m.density(default_grid(512)))
 
 
 class TestSmoothnessIdentity:

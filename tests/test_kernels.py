@@ -27,6 +27,7 @@ from circkde.kernels import (
     bandwidth,
     bandwidth_approx,
     concentration_from_bandwidth,
+    derivative_weights,
     fourier_coefficient,
     is_uniform_fallback,
     kernel_constants,
@@ -35,6 +36,7 @@ from circkde.kernels import (
     wrap_angle,
 )
 from circkde.kernels import _alpha_block, _series_weights
+from circkde.estimators import CircularSample, kde_values
 
 ALL_FAMILIES = list(KernelFamily)
 
@@ -634,6 +636,32 @@ class TestSeriesTailRule:
                         assert np.array_equal(got, expect), (spec, growth, power, trunc)
         if family in (KernelFamily.WRAPPEDCAUCHY, KernelFamily.WRAPPEDEPANECHNIKOV):
             assert errors > 0  # the budget-exhaustion path is exercised
+
+
+class TestUniformKernel:
+    """from_nu(family, 0) is the uniform density 1 / (2 pi) in every
+    family: no cosine terms, flat at every derivative order."""
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+    def test_every_family(self, family):
+        spec = KernelSpec.from_nu(family, 0.0)
+        assert (spec.family, spec.nu) == (family, 0.0)
+        assert spec.concentration == (0.0 if family == KernelFamily.VONMISES else None)
+        thetas = np.linspace(-np.pi, np.pi, 9)
+        sample = CircularSample.from_data([0.1, 0.2, 2.5])
+        assert np.all(kde_values(sample, spec, thetas) == 1.0 / (2.0 * np.pi))
+        for r in (1, 2):
+            assert np.all(kde_values(sample, spec, thetas, r) == 0.0)
+        assert np.all(kernel_value(spec, thetas) == 1.0 / (2.0 * np.pi))
+        assert kernel_value(spec, 0.4) == 1.0 / (2.0 * np.pi)
+        for r in range(1, 7):
+            assert np.all(kernel_value(spec, thetas, r) == 0.0)
+            assert kernel_value(spec, 0.4, r) == 0.0
+        for r in range(5):
+            assert len(derivative_weights(spec, r)) == 0
+        assert fourier_coefficient(spec, 1) == 0.0
+        assert bandwidth(spec) == UNIFORM_BANDWIDTH
+        assert roughness(spec, 0, 1) == 1.0 / (2.0 * np.pi)
 
 
 class TestWrapAngle:

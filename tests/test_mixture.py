@@ -17,9 +17,8 @@ from scipy.special import i0
 from circkde import mixture
 from circkde.errors import FitError, ToleranceError
 from circkde.estimators import CircularSample
-from circkde.kernels import FourierTruncation
+from circkde.kernels import DEFAULT_TRUNCATION, FourierTruncation
 from circkde.mixture import (
-    _PSI_TRUNCATION,
     FitReport,
     MixtureModel,
     fit_em,
@@ -506,7 +505,7 @@ class TestPsiTailRule:
     # of 4; rel_tol = 1e-200 runs past the first block of every model
     def test_matches_term_by_term_loop(self):
         truncs = (
-            _PSI_TRUNCATION,
+            DEFAULT_TRUNCATION,
             FourierTruncation(rel_tol=1e-6, max_terms=100),
             FourierTruncation(rel_tol=1e-200),
         )

@@ -622,7 +622,7 @@ class TestLikelihoodCrossValidation:
 
         def literal(spec):
             # delete-one reconstruction, no algebraic shortcut
-            if spec is None:
+            if spec.nu == 0.0:
                 return -s.n * math.log(2 * math.pi)
             tot = 0.0
             for i in range(s.n):
@@ -633,11 +633,12 @@ class TestLikelihoodCrossValidation:
                 tot += math.log(v)
             return tot
 
-        best = literal(KernelSpec.from_nu(VM, sel.nu) if sel.nu else None)
+        uniform = KernelSpec.from_nu(VM, 0.0)
+        best = literal(KernelSpec.from_nu(VM, sel.nu))
         for h in np.geomspace(1e-3, UNIFORM_BANDWIDTH, 20):
-            spec = concentration_from_bandwidth(VM, h) if h < UNIFORM_BANDWIDTH else None
+            spec = concentration_from_bandwidth(VM, h) if h < UNIFORM_BANDWIDTH else uniform
             if is_uniform_fallback(spec):
-                spec = None
+                spec = uniform
             assert best >= literal(spec) - 1e-9 * abs(best)
 
     def test_uniform_objective_value(self):
@@ -783,7 +784,7 @@ class TestSpectralLcv:
         for sample in _zoo_samples(10):
             objs = _lcv_objectives(sample, specs, weights, peaks)
             for g, spec in enumerate(specs):
-                if spec is None:
+                if spec.nu == 0.0:
                     assert objs[g] == -sample.n * math.log(2 * math.pi)
                     continue
                 loo, peak = _direct_loo(sample, spec)
@@ -1026,6 +1027,29 @@ class TestFallbackTotality:
         sel = selector(nasty, SelectorConfig())
         check_selection(sel, method)
 
+    @pytest.mark.parametrize("selector", [select_rt, select_dpi, select_ste])
+    def test_wrapped_epanechnikov_fallback_feeds_kde(self, selector):
+        # a consumer of any selection builds its kernel with from_nu, the
+        # uniform fallback of a family whose concentrations stop short of 0
+        # included
+        cfg = SelectorConfig(kernel_family=KernelFamily.WRAPPEDEPANECHNIKOV)
+        s = CircularSample.from_data(np.full(3, 0.3))
+        sel = selector(s, cfg)
+        assert sel.fallback_uniform and sel.nu == 0.0 and sel.kappa_or_lambda is None
+        assert sel.h == UNIFORM_BANDWIDTH
+        est = kde(s, KernelSpec.from_nu(cfg.kernel_family, sel.nu))
+        assert np.all(est.values == 1.0 / (2.0 * np.pi))
+
+    def test_wrapped_epanechnikov_gold_uniform_pick(self):
+        cfg = SelectorConfig(kernel_family=KernelFamily.WRAPPEDEPANECHNIKOV)
+        s = CircularSample.from_data(np.array([0.0, np.pi]))
+        flat = lambda t: np.full(np.shape(t), 1.0 / (2.0 * np.pi))
+        sel = select_gold(s, flat, cfg, grid=[0.0, 0.6])
+        assert (sel.nu, sel.kappa_or_lambda, sel.fallback_uniform) == (0.0, None, False)
+        assert sel.trace[0].psi == 0.0
+        est = kde(s, KernelSpec.from_nu(cfg.kernel_family, sel.nu))
+        assert np.all(est.values == 1.0 / (2.0 * np.pi))
+
     def test_fallback_selection_shape(self):
         sel = select_dpi(balanced_sample(), SelectorConfig())
         assert sel.nu == 0.0
@@ -1102,8 +1126,9 @@ class TestSmallSamples:
 
 class TestSelectionBuilder:
     """Every selector's answer comes from selectors._selection: a kernel
-    gives its nu, bandwidth and concentration; None gives the uniform
-    density, flagged as a fallback only when a selector gave up."""
+    gives its nu, bandwidth and concentration; the uniform density (nu = 0)
+    gives no concentration, flagged as a fallback only when a selector
+    gave up."""
 
     def test_kernel_pick_carries_its_concentration(self):
         for family, conc in ((VM, "kappa"), (KernelFamily.WRAPPEDEPANECHNIKOV, "lam"), (WN, None)):
@@ -1118,14 +1143,15 @@ class TestSelectionBuilder:
 
     @pytest.mark.parametrize("fallback", [False, True])
     def test_uniform_pick(self, fallback):
-        sel = selectors._selection(SelectorMethod.LCV, None, [], fallback=fallback)
+        uniform = KernelSpec.from_nu(VM, 0.0)
+        sel = selectors._selection(SelectorMethod.LCV, uniform, [], fallback=fallback)
         assert (sel.nu, sel.h, sel.kappa_or_lambda) == (0.0, UNIFORM_BANDWIDTH, None)
         assert sel.fallback_uniform is fallback
         assert sel.trace == ()
 
     def test_fallback_appends_its_reason(self):
         first = TraceEntry(label="psi4:reference", psi=2.0)
-        sel = selectors._fallback(SelectorMethod.DPI, [first], "cascade-error")
+        sel = selectors._fallback(SelectorConfig(), SelectorMethod.DPI, [first], "cascade-error")
         assert sel.fallback_uniform and sel.kappa_or_lambda is None and sel.nu == 0.0
         assert sel.trace == (first, TraceEntry(label="fallback:cascade-error"))
 
