@@ -205,7 +205,12 @@ def cmd_select(ingest, cfg, method):
 
 def cmd_density(ingest, cfg, method, grid_size=512, deriv_order=0, out_path=None, nu=None):
     """Write the density (or derivative) estimate on an equispaced grid as
-    CSV with metadata comments, 9 significant digits."""
+    CSV with metadata comments, 9 significant digits.
+
+    With a forced ``nu`` no selector runs, so ``cfg`` may be just the
+    KernelFamily of the estimate: every family evaluates, including those
+    without the asymptotic constants a SelectorConfig requires.
+    """
     sample = _load_sample(ingest)
     if nu is not None:
         if not 0.0 <= nu < 1.0:
@@ -215,14 +220,15 @@ def cmd_density(ingest, cfg, method, grid_size=512, deriv_order=0, out_path=None
         sel = _selector(method)(sample, cfg)
         chosen_nu, method_label, fallback = sel.nu, method, sel.fallback_uniform
 
+    family = cfg if isinstance(cfg, KernelFamily) else cfg.kernel_family
     grid = default_grid(grid_size)
-    spec = KernelSpec.from_nu(cfg.kernel_family, chosen_nu)
+    spec = KernelSpec.from_nu(family, chosen_nu)
     values = kde_values(sample, spec, grid, deriv_order=deriv_order)
 
     buf = io.StringIO()
     buf.write("# circkde density estimate\n")
     buf.write(f"# method: {method_label}\n")
-    buf.write(f"# kernel: {cfg.kernel_family.value}\n")
+    buf.write(f"# kernel: {family.value}\n")
     buf.write(f"# nu: {chosen_nu:.9g}\n")
     buf.write(f"# n: {sample.n}\n")
     buf.write(f"# deriv_order: {deriv_order}\n")
@@ -389,6 +395,8 @@ def _build_parser():
 
     p_modes = sub.add_parser("modes", help="report modes and antimodes")
     add_common(p_modes)
+    # modes smooths for the first derivative, so its config is checked at r = 1
+    p_modes.set_defaults(deriv_order=1)
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo selector benchmark")
     add_common(p_sim, with_input=False)
@@ -413,12 +421,19 @@ def _config_from_args(args):
         return SelectorConfig(
             kernel_family=KernelFamily(args.kernel),
             pilot_family=KernelFamily(args.pilot_kernel),
-            r=getattr(args, "deriv_order", 0),
+            r=args.deriv_order,
             nstage=args.nstage,
             M_max=args.mmax,
             exact_inversion=args.exact_inversion,
             seed=args.seed,
         )
+    except ValueError as exc:
+        raise CliError("usage", str(exc), exit_code=2)
+
+
+def _family_from_args(args):
+    try:
+        return KernelFamily(args.kernel)
     except ValueError as exc:
         raise CliError("usage", str(exc), exit_code=2)
 
@@ -448,9 +463,11 @@ def main(argv=None):
             _emit(sel.to_json(), args.out)
         elif args.command == "density":
             ingest = IngestSpec(args.input, AngleFormat(args.format), args.column)
+            # a forced nu runs no selector, which is what a SelectorConfig checks for
+            cfg = _config_from_args(args) if args.nu is None else _family_from_args(args)
             text = cmd_density(
                 ingest,
-                _config_from_args(args),
+                cfg,
                 args.method,
                 grid_size=args.grid_size,
                 deriv_order=args.deriv_order,

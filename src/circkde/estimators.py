@@ -23,14 +23,32 @@ direct double sum available as a cross-checking mode.
 * Spectral: the wrapped normal density, derivatives of the smooth families,
   psi_hat, the leave-one-out table of select_lcv and the Parseval ISE.
 
-One moment engine serves every spectral path: _trig_parts builds the
-cos/sin basis of 64 consecutive orders from an exact rebase cos/sin(j0 Theta)
-and a table cos/sin(k Theta), k < 64, itself assembled from 8 fine and 8
-coarse orders, so no order costs its own cos and sin.  The direct von Mises
-density sum builds its exponent, exp and row mean in place and applies the
-kernel's normaliser once per row.
+The moments come from one of two engines, chosen by the sample size n:
+
+* Below _NUFFT_MIN_N, the block-rebased engine: _trig_parts builds the
+  cos/sin basis of 64 consecutive orders from an exact rebase
+  cos/sin(j0 Theta) and a table cos/sin(k Theta), k < 64, itself assembled
+  from 8 fine and 8 coarse orders, so no order costs its own cos and sin.
+  It sums exactly the orders asked for, and the NUFFT's tests use it as
+  their oracle.
+* From _NUFFT_MIN_N on, a type-1 nonuniform FFT (Dutt & Rokhlin 1993;
+  Barnett, Magland & af Klinteberg 2019): each angle is spread onto a
+  periodic grid with 16 taps of the "exponential of semicircle" kernel,
+  one real FFT follows, and each order is divided by the kernel's Fourier
+  transform.  Its cost is about 16 n kernel values plus one FFT, whatever
+  the number of orders, so every call sums at least 1024 orders (rounded up
+  to a power of two) and the extensions of one analysis become one pass.
+  The grid position x = Theta N / (2 pi) is formed from the wrapped angle
+  itself, carried to twice double precision: shifting Theta into [0, 2 pi)
+  first costs an ulp of 2 pi in the phase of angles just below 0, and that
+  broke the engine's error bound on concentrated samples at n <= 2000.
+
+_trig_parts also gives the cos/sin basis at evaluation points for
+_spectral_sum.  The direct von Mises density sum builds its exponent, exp
+and row mean in place and applies the kernel's normaliser once per row.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -89,6 +107,26 @@ _FLAT_ELEMS = 1 << 14
 # grid_ise's default grid, on which simulations score their estimates
 _ISE_POINTS = 2048
 
+# the sample size from which trig_moments runs the NUFFT: the n from which
+# one NUFFT of 1024 orders beats the engine's cheapest first call, 16 orders,
+# at every larger n measured by scripts/bench_nufft.py (BENCH_nufft.json),
+# which also holds the accuracy of both engines against long-double sums
+# down to n = 50
+_NUFFT_MIN_N = 500
+# NUFFT parameters: taps per angle, the kernel's shape parameter beta =
+# 2.30 taps (Barnett et al.'s choice for an oversampling of 2; the grid here
+# oversamples at least that), the fewest orders one NUFFT sums, and the
+# trapezoid points per period of the kernel's Fourier transform (64 are
+# within 2e-16 of a 30-digit quadrature)
+_NUFFT_TAPS = 16
+_NUFFT_BETA = 2.30 * _NUFFT_TAPS
+_NUFFT_MIN_ORDERS = 1024
+_NUFFT_NODES = 128
+# 1/(2 pi) as a sum of two doubles, and Veltkamp's splitting constant 2^27 + 1
+_INV_2PI_HI = 0.15915494309189535
+_INV_2PI_LO = -9.839338337591243e-18
+_SPLITTER = 134217729.0
+
 
 def _cos_sin(orders, angles):
     """[cos k Theta; sin k Theta] for k in ``orders``, one row per order and
@@ -137,6 +175,124 @@ def _trig_parts(angles, starts, width):
     return rebase, table.reshape(2, nq * nr, m)[:, :width].reshape(2 * width, m)
 
 
+def _engine_moments(angles, have, max_order):
+    """(C, S) at orders have + 1 .. max_order by the block-rebased engine:
+    the orders are summed in blocks of _ORDERS by _trig_parts, one GEMM per
+    block of angle rows, so memory is bounded by the row block."""
+    starts = np.arange(have + 1, max_order + 1, _ORDERS)
+    width = min(_ORDERS, max_order - have)
+    nb = len(starts)
+    rows = max(1, _BLOCK_ELEMS // (2 * max(nb, width)))
+    acc = np.zeros((2 * nb, 2 * width))
+    for lo in range(0, len(angles), rows):
+        rebase, table = _trig_parts(angles[lo : lo + rows], starts, width)
+        acc += rebase @ table.T
+    # angle addition, summed over the sample
+    new_c = (acc[:nb, :width] - acc[nb:, width:]).ravel()[: max_order - have]
+    new_s = (acc[nb:, :width] + acc[:nb, width:]).ravel()[: max_order - have]
+    return new_c, new_s
+
+
+def _nufft_size(orders):
+    """Points of the NUFFT grid for ``orders`` orders: the smallest power of
+    two that oversamples the 2 orders + 1 frequencies by 2."""
+    return 1 << (2 * (2 * orders + 1) - 1).bit_length()
+
+
+def _split(a):
+    """Veltkamp's split of a into a_hi + a_lo, each with at most 26
+    significant bits, so that products of halves are exact."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _es_kernel(z):
+    """The spreading kernel phi(z) = exp(beta (sqrt(1 - z^2) - 1)) on
+    [-1, 1], in place.  The exponent is taken as -beta z^2 / (1 + sqrt(1 -
+    z^2)), which keeps its relative accuracy: the difference form rounds it
+    to about ulp(1) beta near the peak, a relative error of 4e-15 in the
+    kernel value, and that doubled the NUFFT's worst moment error on
+    concentrated samples."""
+    q = np.square(z, out=z)
+    root = np.subtract(1.0, q)
+    np.sqrt(root, out=root)
+    root += 1.0
+    q /= root
+    q *= -_NUFFT_BETA
+    return np.exp(q, out=q)
+
+
+@functools.lru_cache(maxsize=None)
+def _es_transform(orders):
+    """Fourier transform of the spreading kernel at orders 1..``orders`` of
+    the grid of _nufft_size(orders) points N, in grid units:
+
+        psi_hat_j = int_{-w/2}^{w/2} phi(2t/w) cos(2 pi j t / N) dt,
+
+    with phi from _es_kernel.  With 2t/w = sin u it is a periodic integral,
+
+        psi_hat_j = (w/4) int_{-pi}^{pi} phi(sin u) cos(pi j w sin u / N) |cos u| du,
+
+    smooth but for kinks at u = +-pi/2, where phi is e^-beta of its peak,
+    so the trapezoid rule on _NUFFT_NODES points converges to rounding.  The
+    integrand is the same at u, -u and pi - u, so one quarter is summed.
+    Gauss-Legendre in z misses by 1e-15 to 1e-14 of psi_hat: the kernel's
+    square-root edge and numpy's leggauss weights.
+    """
+    k = np.arange(_NUFFT_NODES // 4 + 1)
+    u = (2.0 * np.pi / _NUFFT_NODES) * k
+    z = np.sin(u)
+    copies = np.where((k == 0) | (k == k[-1]), 2.0, 4.0)
+    weights = copies * np.cos(u) * _es_kernel(z.copy())
+    freqs = (np.pi * _NUFFT_TAPS / _nufft_size(orders)) * np.arange(1, orders + 1)
+    out = np.cos(np.multiply.outer(freqs, z)) @ weights
+    out *= (_NUFFT_TAPS / 4.0) * (2.0 * np.pi / _NUFFT_NODES)
+    out.flags.writeable = False
+    return out
+
+
+def _nufft_moments(angles, orders):
+    """(C, S) at orders 1..``orders`` by a type-1 NUFFT.
+
+    Each angle adds phi(2 (m - x)/w) to the w grid points m nearest to its
+    grid position x = Theta N / (2 pi), indices taken mod N, so that by
+    Poisson summation the grid's FFT at order j is psi_hat_j sum_i
+    e^{-i j Theta_i} up to the kernel's aliasing error.  The angles are
+    spread in blocks of about _BLOCK_ELEMS taps.  x carries the rounding
+    error of its product (Dekker's exact product, plus the low half of
+    1/(2 pi)): an error d in x is a phase error 2 pi j d / N at order j.
+    """
+    size = _nufft_size(orders)
+    half = _NUFFT_TAPS // 2
+    taps = np.arange(_NUFFT_TAPS)
+    # size is a power of two, so both halves of the scale are exact
+    s_hi, s_lo = size * _INV_2PI_HI, size * _INV_2PI_LO
+    b_hi, b_lo = _split(s_hi)
+    rows = _BLOCK_ELEMS // _NUFFT_TAPS
+    grid = np.zeros(size + _NUFFT_TAPS)
+    for lo in range(0, len(angles), rows):
+        a = angles[lo : lo + rows]
+        # x = p + e: p = fl(a s_hi), e its rounding error plus a s_lo
+        p = a * s_hi
+        a_hi, a_lo = _split(a)
+        e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+        e += a * s_lo
+        first = np.ceil(p - half)
+        # first tap's offset from x; e can move it past the kernel's support
+        # by about 1e-12, where the kernel is e^-beta of its peak
+        d = (first - p) - e
+        np.clip(d, -half, 1 - half, out=d)
+        z = np.add.outer(d / half, taps / half)
+        _es_kernel(z)
+        idx = np.add.outer(first.astype(np.intp) & (size - 1), taps)
+        grid += np.bincount(idx.ravel(), weights=z.ravel(), minlength=grid.size)
+    grid[:_NUFFT_TAPS] += grid[size:]
+    spec = np.fft.rfft(grid[:size])[1 : orders + 1]
+    psi_hat = _es_transform(orders)
+    return spec.real / psi_hat, -spec.imag / psi_hat
+
+
 def default_grid(num=512):
     """Equispaced evaluation grid on [-pi, pi), starting at -pi."""
     if num < 2:
@@ -177,9 +333,10 @@ class CircularSample:
     def trig_moments(self, max_order):
         """(C, S) with C[k] = sum_i cos((k+1) Theta_i), k = 0..max_order-1.
 
-        Orders beyond those memoized are summed in blocks of _ORDERS by
-        _trig_parts, one GEMM per block of angle rows, so memory is bounded
-        by the row block and the memoized prefix is never recomputed.
+        Orders beyond those memoized come from the block-rebased engine,
+        exactly the orders asked for, or from n = _NUFFT_MIN_N on from one
+        NUFFT of at least 1024 orders.  Either way the new orders are
+        appended, so the memoized prefix is never recomputed.
         """
         if max_order < 0:
             raise ValueError("max_order must be nonnegative")
@@ -187,21 +344,16 @@ class CircularSample:
             return np.empty(0), np.empty(0)
         have = self._moments.get("J", 0)
         if max_order > have:
-            starts = np.arange(have + 1, max_order + 1, _ORDERS)
-            width = min(_ORDERS, max_order - have)
-            nb = len(starts)
-            rows = max(1, _BLOCK_ELEMS // (2 * max(nb, width)))
-            acc = np.zeros((2 * nb, 2 * width))
-            for lo in range(0, self.n, rows):
-                rebase, table = _trig_parts(self.angles[lo : lo + rows], starts, width)
-                acc += rebase @ table.T
-            # angle addition, summed over the sample
-            new_c = (acc[:nb, :width] - acc[nb:, width:]).ravel()[: max_order - have]
-            new_s = (acc[nb:, :width] + acc[:nb, width:]).ravel()[: max_order - have]
+            if self.n >= _NUFFT_MIN_N:
+                top = max(_NUFFT_MIN_ORDERS, 1 << (max_order - 1).bit_length())
+                new_c, new_s = (m[have:] for m in _nufft_moments(self.angles, top))
+            else:
+                top = max_order
+                new_c, new_s = _engine_moments(self.angles, have, top)
             if have:
                 new_c = np.concatenate([self._moments["C"], new_c])
                 new_s = np.concatenate([self._moments["S"], new_s])
-            self._moments.update(J=max_order, C=new_c, S=new_s)
+            self._moments.update(J=top, C=new_c, S=new_s)
         return self._moments["C"][:max_order], self._moments["S"][:max_order]
 
 

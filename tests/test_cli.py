@@ -252,6 +252,27 @@ class TestDensityCommand:
         with pytest.raises(CliError):
             cmd_density(IngestSpec(path, AngleFormat.RADIANS), SelectorConfig(), "dpi", nu=1.5)
 
+    @pytest.mark.parametrize("family", ["cardioid", "wrappedcauchy"])
+    def test_forced_nu_needs_no_selector_constants(self, capsys, family):
+        # neither family has the asymptotic constants a selector needs, and
+        # a forced nu runs no selector
+        argv = ["density", CRASH_CSV, "--format", "hhmm", "--column", "time"]
+        assert main(argv + ["--kernel", family, "--nu", "0.3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"# kernel: {family}" in lines
+        values = np.array([float(ln.split(",")[1]) for ln in lines if ln[:1] not in ("#", "t")])
+        sample = CircularSample.from_data(
+            read_angles(IngestSpec(CRASH_CSV, AngleFormat.HHMM, "time"))
+        )
+        spec = KernelSpec.from_nu(KernelFamily(family), 0.3)
+        expected = kde_values(sample, spec, default_grid(512))
+        np.testing.assert_allclose(values, expected, rtol=1e-8, atol=0)
+
+    def test_forced_nu_unknown_kernel_is_a_usage_error(self, capsys):
+        argv = ["density", CRASH_CSV, "--format", "hhmm", "--column", "time"]
+        assert main(argv + ["--kernel", "bogus", "--nu", "0.3"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "usage"
+
 
 class TestModesCommand:
     def test_crash_data_mode_and_antimode(self):
@@ -314,6 +335,18 @@ class TestModesCommand:
         path = radians_file(tmp_path, vm_angles(1, n=300, kappa=4.0))
         report = cmd_modes(IngestSpec(path, AngleFormat.RADIANS), SelectorConfig(), "dpi")
         assert report.modes and report.modes[0][1] is None
+
+    def test_kernel_without_first_derivative_constants_is_a_usage_error(self, capsys):
+        # modes smooths for r = 1, so it rejects the kernel as select does
+        # with --deriv-order 1
+        data = [CRASH_CSV, "--format", "hhmm", "--column", "time"]
+        kernel = ["--kernel", "wrappedepanechnikov"]
+        errors = []
+        for argv in (["modes", *data, *kernel], ["select", *data, *kernel, "--deriv-order", "1"]):
+            assert main(argv) == 2
+            errors.append(json.loads(capsys.readouterr().err)["error"])
+        assert errors[0] == errors[1]
+        assert errors[0]["type"] == "usage"
 
     def test_main_emits_json(self, capsys):
         code = main(

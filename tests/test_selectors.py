@@ -1078,6 +1078,36 @@ class TestSerialization:
         assert t.psi is None and t.pilot_h is None and t.pilot_nu is None
 
 
+@functools.lru_cache(maxsize=1)
+def large_vm_mix3_angles():
+    """One fixed n = 1e5 VM-MIX3 sample, the one scripts/bench_moments.py
+    times at that size."""
+    model = {m.name: m for m in builtin_models()}["VM-MIX3"]
+    rng = np.random.default_rng(np.random.SeedSequence([20221, 100_000]))
+    return model.sampler(rng, 100_000).angles
+
+
+class TestLargeSample:
+    """rt, dpi and ste at n = 1e5, where the moments come from the NUFFT,
+    pinned to the values of the block-rebased engine alone (the code before
+    the NUFFT).  Each case times one selector on a fresh sample."""
+
+    @pytest.mark.parametrize(
+        "name, nu",
+        [
+            ("rt", 0.5547001545801693),
+            ("dpi", 0.9987991666692918),
+            ("ste", 0.9990562575228038),
+        ],
+    )
+    def test_pinned_nu(self, name, nu):
+        sel = selectors.SELECTORS[name](
+            CircularSample.from_data(large_vm_mix3_angles()), SelectorConfig()
+        )
+        assert not sel.fallback_uniform
+        assert sel.nu == pytest.approx(nu, rel=1e-9)
+
+
 class TestSmallSamples:
     """Defined behaviour at the smallest sample sizes and on identical
     angles, pinned to the values the selectors return."""
