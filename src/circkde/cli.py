@@ -360,6 +360,28 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _count(minimum):
+    """argparse type: an integer of at least ``minimum``, so that a count
+    out of range is a usage error like a malformed one."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _counts(minimum):
+    """argparse type: a comma list of integers of at least ``minimum``."""
+    parse = _count(minimum)
+    return lambda text: [parse(s) for s in text.split(",") if s]
+
+
 def _build_parser():
     parser = _Parser(
         prog="circkde",
@@ -390,7 +412,7 @@ def _build_parser():
 
     p_density = sub.add_parser("density", help="write a density/derivative grid")
     add_common(p_density)
-    p_density.add_argument("--grid-size", type=int, default=512)
+    p_density.add_argument("--grid-size", type=_count(2), default=512)
     p_density.add_argument("--nu", type=float, default=None, help="skip selection, force this nu")
 
     p_modes = sub.add_parser("modes", help="report modes and antimodes")
@@ -402,8 +424,8 @@ def _build_parser():
     add_common(p_sim, with_input=False)
     p_sim.add_argument("--models", default="U,VM2,VM-MIX2,VM-MIX3,SKEW")
     p_sim.add_argument("--selectors", default="rt,dpi,ste")
-    p_sim.add_argument("--n", default="100")
-    p_sim.add_argument("--replicates", type=int, default=100)
+    p_sim.add_argument("--n", type=_counts(1), default="100")
+    p_sim.add_argument("--replicates", type=_count(1), default=100)
 
     # each flag only where it is read, so that argparse rejects it elsewhere:
     # modes always smooths for the first derivative, simulate runs the
@@ -411,7 +433,7 @@ def _build_parser():
     for p in (p_select, p_density, p_modes):
         p.add_argument("--method", choices=sorted(SELECTORS), default="dpi")
     for p in (p_select, p_density, p_sim):
-        p.add_argument("--deriv-order", type=int, default=0)
+        p.add_argument("--deriv-order", type=_count(0), default=0)
 
     return parser
 
@@ -484,11 +506,10 @@ def main(argv=None):
             cfg = _config_from_args(args)
             models = [s for s in args.models.split(",") if s]
             selectors = [s for s in args.selectors.split(",") if s]
-            ns = [int(s) for s in args.n.split(",") if s]
             csv_text, md_text = cmd_simulate(
                 models,
                 selectors,
-                ns,
+                args.n,
                 args.replicates,
                 seed=args.seed,
                 out_prefix=args.out,

@@ -444,6 +444,15 @@ class TestExitCodes:
             # for the first derivative, simulate runs --selectors
             (["modes", "{path}", "--deriv-order", "3"], "unrecognized arguments: --deriv-order 3"),
             (["simulate", "--method", "lcv"], "unrecognized arguments: --method lcv"),
+            # counts out of range are usage errors like malformed ones
+            (["density", "{path}", "--grid-size", "1"], "--grid-size: must be at least 2"),
+            (["density", "{path}", "--grid-size", "0"], "--grid-size: must be at least 2"),
+            (["density", "{path}", "--nu", "0.5", "--deriv-order", "-1"], "--deriv-order: must be"),
+            (["select", "{path}", "--deriv-order", "-1"], "--deriv-order: must be at least 0"),
+            (["simulate", "--replicates", "0"], "--replicates: must be at least 1"),
+            (["simulate", "--n", "abc"], "--n: invalid int value: 'abc'"),
+            (["simulate", "--n", "0"], "--n: must be at least 1"),
+            (["simulate", "--n", "20,0"], "--n: must be at least 1"),
         ],
     )
     def test_usage_errors_are_json(self, tmp_path, capsys, argv, needle):

@@ -176,6 +176,118 @@ class TestDirectSums:
         assert np.array_equal(kde_values(s, spec, points), loop)
 
 
+def assert_rows_match_long_double(got, ref):
+    """TestDirectSums' bounds: rel 1e-12 within 1e-12 of the peak, rel 1e-11
+    down to the smallest normal number, abs tiny below it."""
+    near = ref >= 1e-12 * ref.max()
+    np.testing.assert_allclose(got[near], ref[near], rtol=1e-12)
+    normal = ref >= np.finfo(float).tiny
+    np.testing.assert_allclose(got[normal], ref[normal], rtol=1e-11)
+    np.testing.assert_allclose(got[~normal], ref[~normal], rtol=0, atol=np.finfo(float).tiny)
+
+
+class TestWindowedSums:
+    """The direct density sums read the sample's sorted view, and a von
+    Mises row sums only the observations within e^-T of its largest term,
+    T = 40 + ln n.  Every row keeps the long-double accuracy of the sum over
+    all pairs, whatever the points and their order."""
+
+    SEAM = [-np.pi, np.nextafter(-np.pi, 0.0), np.nextafter(np.pi, 0.0), np.pi]
+
+    @staticmethod
+    def two_clusters(seed=5):
+        rng = np.random.default_rng(seed)
+        return CircularSample.from_data(
+            np.concatenate([rng.vonmises(-1.0, 1e5, 150), rng.vonmises(2.0, 1e5, 250)])
+        )
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6])
+    def test_dropped_mass_is_negligible_in_every_row(self, kappa):
+        s = self.two_clusters()
+        spec = KernelSpec.vonmises(kappa=kappa)
+        gap = np.linspace(-0.99, 1.99, 41)
+        tails = np.linspace(2.0 - np.pi, 2.0 - np.pi + 0.5, 11)
+        edges = np.concatenate([s.angles[:20], s.angles[-20:]]) + 3.0 / np.sqrt(kappa)
+        points = np.concatenate([default_grid(128), gap, tails, edges, self.SEAM])
+        got = kde_values(s, spec, points)
+        assert_rows_match_long_double(got, longdouble_kde(spec, s.angles, points))
+
+    @pytest.mark.parametrize("family", [
+        KernelSpec.vonmises(kappa=300.0),
+        KernelSpec.wrapped_cauchy(0.9),
+        KernelSpec.cardioid(0.3),
+    ], ids=lambda k: k.family.value)
+    def test_unsorted_duplicate_and_unwrapped_points_keep_their_order(self, family):
+        s = rng_sample(500, seed=8)
+        rng = np.random.default_rng(9)
+        points = rng.uniform(-np.pi, np.pi, 200)
+        points = np.concatenate([points, points[:30], points[:20] + 2 * np.pi,
+                                 points[20:40] - 6 * np.pi, self.SEAM])
+        got = kde_values(s, family, points)
+        assert_rows_match_long_double(got, longdouble_kde(family, s.angles, points))
+        # each point's value is the one it gets alone and in sorted order
+        np.testing.assert_array_equal(got[200:230], got[:30])
+        order = np.argsort(points)
+        np.testing.assert_array_equal(kde_values(s, family, points[order]), got[order])
+
+    @pytest.mark.parametrize("kappa", [1.0, 50.0, 1e4, 1e6])
+    def test_rows_do_not_depend_on_the_other_points(self, kappa):
+        # likelihood cross-validation rescores a few sample points at a time
+        # and subtracts K(0), so a row must not change with its company
+        s = self.two_clusters(seed=6)
+        spec = KernelSpec.vonmises(kappa=kappa)
+        points = np.concatenate([s.angles, default_grid(64)])
+        together = kde_values(s, spec, points)
+        alone = np.array([kde_values(s, spec, points[i : i + 1])[0] for i in range(0, len(points), 7)])
+        np.testing.assert_array_equal(together[::7], alone)
+
+    @pytest.mark.parametrize("data", [
+        [0.3],
+        [0.3, -2.0],
+        [np.pi - 1e-3, -np.pi + 1e-3],
+        [-np.pi, -np.pi, 0.0],
+        [1.1] * 25,
+    ], ids=["n1", "n2", "n2-across-seam", "seam-duplicates", "25-identical"])
+    @pytest.mark.parametrize("kappa", [0.5, 1e3, 1e6])
+    def test_small_and_degenerate_samples(self, data, kappa):
+        s = CircularSample.from_data(data)
+        spec = KernelSpec.vonmises(kappa=kappa)
+        points = np.concatenate([default_grid(96), self.SEAM, s.angles, s.angles + 1e-4])
+        got = kde_values(s, spec, points)
+        assert_rows_match_long_double(got, longdouble_kde(spec, s.angles, points))
+
+    def test_empty_points(self):
+        s = rng_sample(40)
+        for spec in (KernelSpec.vonmises(kappa=1e3), KernelSpec.cardioid(0.2)):
+            out = kde_values(s, spec, np.empty(0))
+            assert out.shape == (0,)
+
+    def test_sorted_view_is_built_once_and_read_only(self, monkeypatch):
+        from circkde import estimators
+
+        builds = []
+        real = estimators._SortedView
+        monkeypatch.setattr(
+            estimators, "_SortedView", lambda *parts: builds.append(1) or real(*parts)
+        )
+        s = rng_sample(300, seed=2)
+        spec = KernelSpec.vonmises(kappa=200.0)
+        kde(s, spec)
+        kde_values(s, spec, [0.1, -3.0])
+        kde(s, KernelSpec.wrapped_cauchy(0.7))
+        assert len(builds) == 1
+        view = s._sorted
+        assert view is s._sorted
+        np.testing.assert_array_equal(view.angles, np.sort(s.angles))
+        np.testing.assert_array_equal(view.cos, np.cos(view.angles))
+        np.testing.assert_array_equal(view.sin, np.sin(view.angles))
+        for arr in view:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        # a second sample has its own view
+        assert rng_sample(300, seed=2)._sorted is not view
+
+
 class TestDensityGrid:
     def test_validation(self):
         with pytest.raises(ValueError):

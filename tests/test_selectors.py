@@ -1107,6 +1107,24 @@ class TestLargeSample:
         assert not sel.fallback_uniform
         assert sel.nu == pytest.approx(nu, rel=1e-9)
 
+    def test_pinned_kde_at_the_dpi_nu(self):
+        # the 512-point von Mises kde at the DPI nu above (kappa 417), pinned
+        # to the sum over every pair (the code before the windowed sums)
+        sample = CircularSample.from_data(large_vm_mix3_angles())
+        values = kde(sample, KernelSpec.vonmises(nu=0.9987991666692918)).values
+        every_32nd = [
+            0.006062492739528171, 0.05129263464976022, 0.2953304384389227,
+            0.3690261833669256, 0.11511187293420404, 0.009225160092334778,
+            0.022924134859155357, 0.19582835333734142, 0.4054088039860239,
+            0.19475966010214332, 0.023579849898343008, 0.010288407636439961,
+            0.11633011956010787, 0.3752068838306666, 0.29815097603098334,
+            0.05248185210405539,
+        ]
+        np.testing.assert_allclose(values[::32], every_32nd, rtol=1e-12)
+        assert values.sum() == pytest.approx(81.48733086305043, rel=1e-12)
+        assert values.min() == pytest.approx(0.005495808214600677, rel=1e-12)
+        assert values.max() == pytest.approx(0.4198563734062697, rel=1e-12)
+
 
 class TestSmallSamples:
     """Defined behaviour at the smallest sample sizes and on identical
