@@ -1,34 +1,31 @@
-"""Time and check the two moment engines, and write BENCH_nufft.json (or
-the ``--out`` path).
+"""Time and check CircularSample.trig_moments on two source trees, and
+write BENCH_nufft.json (or the ``--out`` path).
 
     python3 scripts/bench_nufft.py --before OLD/src --after src [--out FILE]
 
 Each tree is imported in its own interpreter with BLAS pinned to one
-thread.  The new tree (``--after``) has both engines of
-CircularSample.trig_moments: the block-rebased engine and, from
-_NUFFT_MIN_N angles on, the type-1 NUFFT.  On it the script measures:
+thread, ROUNDS times, alternating which tree runs first, and each time is
+the best over the rounds.  The script calls nothing of a tree but
+CircularSample, its trig_moments and the selectors, so it runs on any tree
+that has them.  On each tree it measures:
 
-* ``engines``: for n in SIZES, best of REPEATS on one VM-MIX3 sample, the
-  engine's orders 16, 30 and 960 in turn (the extensions of one large-n
-  benchmark op) against one NUFFT of 1024 orders, and the engine's 2000
-  orders against one NUFFT of 2048;
-* ``crossover``: for n in CROSSOVER_SIZES, the engine's cheapest first
-  call (16 orders) against one NUFFT of 1024 orders, best of
-  CROSSOVER_REPEATS, and the accuracy of both against long-double sums:
-  the worst ratio of the error to the bound of the moment tests, 2 x the
-  error of a one-cos-per-term loop + 1e-14 n, over uniform samples and
-  von Mises(1000) clusters at 0 and at pi, at 64 and 1025 orders.  The
-  measured crossover is the smallest of these n from which the NUFFT is
-  faster at every larger n; _NUFFT_MIN_N should equal it.
-
-On both trees it runs rt, dpi, ste and lcv on every ``large-n`` benchmark
-pool sample (128 samples, n = 10 000, drawn by ``bench/workloads.py``),
-and the report gives the worst relative nu deviation per selector.  It
-also times one rt, dpi and ste analysis of one n = 1e6 ANALYSIS_MODEL
-sample on a fresh CircularSample.  That model is VM-MIX2 because the
-three-fold symmetric VM-MIX3 truth has a mean resultant near 0 at that
-size, so the default one-component reference fit makes all three
-selectors fall back to the uniform density before they sum any moments.
+* ``moments``: for n in SIZES, best of REPEATS on one VM-MIX3 sample, the
+  orders 16, 30 and 960 in turn on a fresh CircularSample (the extensions
+  of one analysis), and one call of 678 orders on a fresh CircularSample
+  (the order count of select_lcv's table at n = 100);
+* ``worst_error_over_bound``: for n in ACCURACY_SIZES, the accuracy of the
+  moments against long-double sums: the worst ratio of the error to the
+  bound of the moment tests, 2 x the error of a one-cos-per-term loop +
+  1e-14 n, over uniform samples and von Mises(1000) clusters at 0 and at
+  pi, ACCURACY_SEEDS seeds each, at 64 and 1025 orders;
+* rt, dpi, ste and lcv on every ``large-n`` benchmark pool sample (128
+  samples, n = 10 000, drawn by ``bench/workloads.py``); the report gives
+  the worst relative nu deviation between the trees per selector;
+* one rt, dpi and ste analysis of one n = 1e6 ANALYSIS_MODEL sample on a
+  fresh CircularSample.  That model is VM-MIX2 because the three-fold
+  symmetric VM-MIX3 truth has a mean resultant near 0 at that size, so the
+  default one-component reference fit makes all three selectors fall back
+  to the uniform density before they sum any moments.
 """
 
 import argparse
@@ -39,10 +36,10 @@ import time
 
 from bench_lcv import cpu_model, rel, run_child
 
-SIZES = (100, 1000, 10000, 100000, 1000000)
-REPEATS = 3
-CROSSOVER_SIZES = (50, 100, 200, 300, 500, 700, 1000, 2000, 5000)
-CROSSOVER_REPEATS = 9
+SIZES = (100, 1000, 10000, 100000)
+REPEATS = 9
+ROUNDS = 2
+ACCURACY_SIZES = (1, 2, 50, 100, 499, 500, 2000)
 ACCURACY_ORDERS = (64, 1025)
 ACCURACY_SEEDS = 3
 ANALYSIS_N = 1000000
@@ -54,7 +51,6 @@ OUT = os.path.join(ROOT, "BENCH_nufft.json")
 _CHILD = r"""
 import json, sys, time
 import numpy as np
-from circkde import estimators as est
 from circkde.estimators import CircularSample
 from circkde import selectors as sel
 from circkde.simulate import builtin_models
@@ -81,11 +77,11 @@ def best(fn, repeats):
     return min(times)
 
 
-def engine_chain(angles, chain):
-    have = 0
-    for top in chain:
-        est._engine_moments(angles, have, top)
-        have = top
+def chain(angles, orders):
+    # the angles are wrapped and read-only already, so no from_data
+    sample = CircularSample(angles)
+    for J in orders:
+        sample.trig_moments(J)
 
 
 def bound_ratio(got, angles, J):
@@ -114,43 +110,22 @@ def picks(angles):
     return [sel.SELECTORS[m](sample, cfg).nu for m in args["selectors"]]
 
 
-out = {"numpy": np.__version__}
-if args["engines"]:
-    est._nufft_moments(np.zeros(1), 1024)  # the kernel transform, once per plan
-    est._nufft_moments(np.zeros(1), 2048)
-    out["min_n"] = est._NUFFT_MIN_N
-    out["engines"] = {}
-    for n in args["sizes"]:
-        a = model_angles(n)
-        r = args["repeats"]
-        out["engines"][str(n)] = {
-            "engine_16_30_960_s": best(lambda: engine_chain(a, (16, 30, 960)), r),
-            "nufft_1024_s": best(lambda: est._nufft_moments(a, 1024), r),
-            "engine_2000_s": best(lambda: est._engine_moments(a, 0, 2000), r),
-            "nufft_2048_s": best(lambda: est._nufft_moments(a, 2048), r),
-        }
-    out["crossover"] = {}
-    for n in args["crossover_sizes"]:
-        a = model_angles(n)
-        r = args["crossover_repeats"]
-        row = {
-            "engine_16_s": best(lambda: est._engine_moments(a, 0, 16), r),
-            "nufft_1024_s": best(lambda: est._nufft_moments(a, 1024), r),
-        }
-        if n <= 2000:
-            worst = {"engine": 0.0, "nufft": 0.0}
-            for kind in ("uniform", "cluster0", "cluster_pi"):
-                for seed in range(args["accuracy_seeds"]):
-                    x = kind_angles(kind, n, seed)
-                    for J in args["accuracy_orders"]:
-                        plan = max(1024, 1 << (J - 1).bit_length())
-                        C, S = est._nufft_moments(x, plan)
-                        worst["nufft"] = max(worst["nufft"], bound_ratio((C[:J], S[:J]), x, J))
-                        worst["engine"] = max(
-                            worst["engine"], bound_ratio(est._engine_moments(x, 0, J), x, J)
-                        )
-            row["worst_error_over_bound"] = worst
-        out["crossover"][str(n)] = row
+out = {"numpy": np.__version__, "moments": {}, "worst_error_over_bound": {}}
+for n in args["sizes"]:
+    a = model_angles(n)
+    r = args["repeats"]
+    out["moments"][str(n)] = {
+        "chain_16_30_960_s": best(lambda: chain(a, (16, 30, 960)), r),
+        "fresh_678_s": best(lambda: chain(a, (678,)), r),
+    }
+for n in args["accuracy_sizes"]:
+    worst = 0.0
+    for kind in ("uniform", "cluster0", "cluster_pi"):
+        for seed in range(args["accuracy_seeds"]):
+            x = kind_angles(kind, n, seed)
+            for J in args["accuracy_orders"]:
+                worst = max(worst, bound_ratio(CircularSample(x).trig_moments(J), x, J))
+    out["worst_error_over_bound"][str(n)] = worst
 
 out["pool"] = [picks(workloads.large_angles(k)) for k in range(workloads.LARGE_POOL)]
 a = model_angles(args["analysis_n"], args["analysis_model"])
@@ -162,13 +137,11 @@ print(json.dumps(out))
 """
 
 
-def _run(src, engines):
+def _run(src):
     args = {
-        "engines": engines,
         "sizes": SIZES,
         "repeats": REPEATS,
-        "crossover_sizes": CROSSOVER_SIZES,
-        "crossover_repeats": CROSSOVER_REPEATS,
+        "accuracy_sizes": ACCURACY_SIZES,
         "accuracy_orders": ACCURACY_ORDERS,
         "accuracy_seeds": ACCURACY_SEEDS,
         "selectors": SELECTORS,
@@ -179,37 +152,42 @@ def _run(src, engines):
     return run_child(src, _CHILD, args)
 
 
-def measured_crossover(rows):
-    """Smallest n from which the NUFFT beats the engine's first call at
-    every larger n measured, or None."""
-    found = None
-    for n in sorted(rows, key=int, reverse=True):
-        if rows[n]["nufft_1024_s"] >= rows[n]["engine_16_s"]:
-            break
-        found = int(n)
-    return found
+def _best_of(rounds):
+    """The first round's report, with each time the best over the rounds;
+    the accuracy, pool and nu are deterministic."""
+    out = rounds[0]
+    for n, row in out["moments"].items():
+        for key in row:
+            row[key] = min(r["moments"][n][key] for r in rounds)
+    out["analysis"]["seconds"] = min(r["analysis"]["seconds"] for r in rounds)
+    return out
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--before", required=True, help="src directory of the code before the NUFFT")
-    ap.add_argument("--after", required=True, help="src directory of the code with the NUFFT")
+    ap.add_argument("--before", required=True, help="src directory of the old code")
+    ap.add_argument("--after", required=True, help="src directory of the new code")
     ap.add_argument("--out", default=OUT, help="report path (default: BENCH_nufft.json)")
     opts = ap.parse_args(argv)
 
-    before = _run(opts.before, engines=False)
-    after = _run(opts.after, engines=True)
+    runs = {"before": [], "after": []}
+    for k in range(ROUNDS):
+        order = ("before", "after") if k % 2 == 0 else ("after", "before")
+        for side in order:
+            runs[side].append(_run(getattr(opts, side)))
+    before, after = (_best_of(runs[side]) for side in ("before", "after"))
     deviations = {
         name: max(rel(a[k], b[k]) for a, b in zip(before["pool"], after["pool"]))
         for k, name in enumerate(SELECTORS)
     }
     report = {
         "what": (
-            "type-1 NUFFT moments against the block-rebased engine: best-of-"
-            f"{REPEATS} times on one VM-MIX3 sample per n, the crossover's timing "
-            f"(best of {CROSSOVER_REPEATS}) and accuracy against long-double sums "
-            "(worst error over the moment tests' bound 2 loop_err + 1e-14 n), the "
-            "worst relative nu deviation between the trees on the 128 large-n pool "
+            f"CircularSample.trig_moments on two trees: best-of-{REPEATS} times "
+            f"over {ROUNDS} alternating rounds on "
+            "one VM-MIX3 sample per n of the 16, 30, 960 chain and of one fresh "
+            "678-order call, the accuracy against long-double sums (worst error "
+            "over the moment tests' bound 2 loop_err + 1e-14 n), the worst "
+            "relative nu deviation between the trees on the 128 large-n pool "
             f"samples, and one rt/dpi/ste analysis of a {ANALYSIS_MODEL} sample at "
             f"n = {ANALYSIS_N}"
         ),
@@ -220,10 +198,11 @@ def main(argv=None):
             "numpy": after["numpy"],
             "blas_threads": 1,
         },
-        "nufft_min_n": after["min_n"],
-        "measured_crossover": measured_crossover(after["crossover"]),
-        "engines": after["engines"],
-        "crossover": after["crossover"],
+        "moments": {"before": before["moments"], "after": after["moments"]},
+        "worst_error_over_bound": {
+            "before": before["worst_error_over_bound"],
+            "after": after["worst_error_over_bound"],
+        },
         "pool_samples": len(after["pool"]),
         "worst_rel_nu_deviation_large_n_pool": deviations,
         "analysis": {"before": before["analysis"], "after": after["analysis"]},

@@ -23,28 +23,22 @@ direct double sum available as a cross-checking mode.
 * Spectral: the wrapped normal density, derivatives of the smooth families,
   psi_hat, the leave-one-out table of select_lcv and the Parseval ISE.
 
-The moments come from one of two engines, chosen by the sample size n:
+The moments come from a type-1 nonuniform FFT (Dutt & Rokhlin 1993;
+Barnett, Magland & af Klinteberg 2019): each angle is spread onto a
+periodic grid with 16 taps of the "exponential of semicircle" kernel, one
+real FFT follows, and each order is divided by the kernel's Fourier
+transform.  Its cost is about 16 n kernel values plus one FFT, whatever the
+number of orders, so every call sums at least 1024 orders (rounded up to a
+power of two) and the extensions of one analysis become one pass.  The grid
+position x = Theta N / (2 pi) is formed from the wrapped angle itself,
+carried to twice double precision: shifting Theta into [0, 2 pi) first
+costs an ulp of 2 pi in the phase of angles just below 0, and that broke
+the moment tests' error bound on concentrated samples at n <= 2000.
 
-* Below _NUFFT_MIN_N, the block-rebased engine: _trig_parts builds the
-  cos/sin basis of 64 consecutive orders from an exact rebase
-  cos/sin(j0 Theta) and a table cos/sin(k Theta), k < 64, itself assembled
-  from 8 fine and 8 coarse orders, so no order costs its own cos and sin.
-  It sums exactly the orders asked for, and the NUFFT's tests use it as
-  their oracle.
-* From _NUFFT_MIN_N on, a type-1 nonuniform FFT (Dutt & Rokhlin 1993;
-  Barnett, Magland & af Klinteberg 2019): each angle is spread onto a
-  periodic grid with 16 taps of the "exponential of semicircle" kernel,
-  one real FFT follows, and each order is divided by the kernel's Fourier
-  transform.  Its cost is about 16 n kernel values plus one FFT, whatever
-  the number of orders, so every call sums at least 1024 orders (rounded up
-  to a power of two) and the extensions of one analysis become one pass.
-  The grid position x = Theta N / (2 pi) is formed from the wrapped angle
-  itself, carried to twice double precision: shifting Theta into [0, 2 pi)
-  first costs an ulp of 2 pi in the phase of angles just below 0, and that
-  broke the engine's error bound on concentrated samples at n <= 2000.
-
-_trig_parts also gives the cos/sin basis at evaluation points for
-_spectral_sum.
+_spectral_sum builds the cos/sin basis at evaluation points with
+_trig_parts: an exact rebase cos/sin(j0 x) and a table cos/sin(k x),
+k < 64, itself assembled from 8 fine and 8 coarse orders, so no order costs
+its own cos and sin.
 
 The direct density sums of the von Mises, wrapped Cauchy and cardioid run
 over the sample's memoized sorted view (CircularSample._sorted): the angles
@@ -60,6 +54,7 @@ in place and applies the kernel's normaliser once per row.
 
 import functools
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -99,10 +94,10 @@ _CLOSED_DENSITY = _HALF_ANGLE_FAMILIES | {KernelFamily.WRAPPEDEPANECHNIKOV}
 _DIRECT_ISE = {KernelFamily.WRAPPEDEPANECHNIKOV}
 
 # orders per rebase in _trig_parts and the width of its fine factor, and the
-# number of array elements a row block of a direct kernel sum or of the
-# moments' basis may hold: 2^16 doubles (512 KB).  At n = 1e4 (2-core Xeon
-# VM, one thread) a 512-point kde took 20 ms against 22-30 ms at 2^14 and
-# 20-26 ms at 2^18, and a large-n benchmark op 59-71 ms against 64-82 ms
+# number of array elements a row block of a direct kernel sum, or a spreading
+# block of the NUFFT, may hold: 2^16 doubles (512 KB).  At n = 1e4 (2-core
+# Xeon VM, one thread) a 512-point kde took 20 ms against 22-30 ms at 2^14
+# and 20-26 ms at 2^18, and a large-n benchmark op 59-71 ms against 64-82 ms
 _ORDERS = 64
 _FINE = 8
 _BLOCK_ELEMS = 1 << 16
@@ -123,12 +118,6 @@ _FLAT_ELEMS = 1 << 14
 # grid_ise's default grid, on which simulations score their estimates
 _ISE_POINTS = 2048
 
-# the sample size from which trig_moments runs the NUFFT: the n from which
-# one NUFFT of 1024 orders beats the engine's cheapest first call, 16 orders,
-# at every larger n measured by scripts/bench_nufft.py (BENCH_nufft.json),
-# which also holds the accuracy of both engines against long-double sums
-# down to n = 50
-_NUFFT_MIN_N = 500
 # NUFFT parameters: taps per angle, the kernel's shape parameter beta =
 # 2.30 taps (Barnett et al.'s choice for an oversampling of 2; the grid here
 # oversamples at least that), the fewest orders one NUFFT sums, and the
@@ -189,24 +178,6 @@ def _trig_parts(angles, starts, width):
     np.multiply(cs, fc, out=table[1])
     table[1] += tmp
     return rebase, table.reshape(2, nq * nr, m)[:, :width].reshape(2 * width, m)
-
-
-def _engine_moments(angles, have, max_order):
-    """(C, S) at orders have + 1 .. max_order by the block-rebased engine:
-    the orders are summed in blocks of _ORDERS by _trig_parts, one GEMM per
-    block of angle rows, so memory is bounded by the row block."""
-    starts = np.arange(have + 1, max_order + 1, _ORDERS)
-    width = min(_ORDERS, max_order - have)
-    nb = len(starts)
-    rows = max(1, _BLOCK_ELEMS // (2 * max(nb, width)))
-    acc = np.zeros((2 * nb, 2 * width))
-    for lo in range(0, len(angles), rows):
-        rebase, table = _trig_parts(angles[lo : lo + rows], starts, width)
-        acc += rebase @ table.T
-    # angle addition, summed over the sample
-    new_c = (acc[:nb, :width] - acc[nb:, width:]).ravel()[: max_order - have]
-    new_s = (acc[nb:, :width] + acc[:nb, width:]).ravel()[: max_order - have]
-    return new_c, new_s
 
 
 def _nufft_size(orders):
@@ -370,23 +341,20 @@ class CircularSample:
     def trig_moments(self, max_order):
         """(C, S) with C[k] = sum_i cos((k+1) Theta_i), k = 0..max_order-1.
 
-        Orders beyond those memoized come from the block-rebased engine,
-        exactly the orders asked for, or from n = _NUFFT_MIN_N on from one
-        NUFFT of at least 1024 orders.  Either way the new orders are
-        appended, so the memoized prefix is never recomputed.
+        Orders beyond those memoized come from one NUFFT of at least 1024
+        orders, rounded up to a power of two, and only the new orders are
+        appended, so the memoized prefix is never recomputed.  max_order is
+        any integer, numpy's included (operator.index).
         """
+        max_order = operator.index(max_order)
         if max_order < 0:
             raise ValueError("max_order must be nonnegative")
         if max_order == 0:
             return np.empty(0), np.empty(0)
         have = self._moments.get("J", 0)
         if max_order > have:
-            if self.n >= _NUFFT_MIN_N:
-                top = max(_NUFFT_MIN_ORDERS, 1 << (max_order - 1).bit_length())
-                new_c, new_s = (m[have:] for m in _nufft_moments(self.angles, top))
-            else:
-                top = max_order
-                new_c, new_s = _engine_moments(self.angles, have, top)
+            top = max(_NUFFT_MIN_ORDERS, 1 << (max_order - 1).bit_length())
+            new_c, new_s = (m[have:] for m in _nufft_moments(self.angles, top))
             if have:
                 new_c = np.concatenate([self._moments["C"], new_c])
                 new_s = np.concatenate([self._moments["S"], new_s])

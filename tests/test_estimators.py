@@ -98,6 +98,18 @@ class TestCircularSample:
         C, S = rng_sample(5).trig_moments(0)
         assert len(C) == 0 and len(S) == 0
 
+    @pytest.mark.parametrize("n", [2, 500])
+    def test_trig_moments_take_numpy_integers(self, n):
+        # each order on a fresh sample, so that none is read from the memo
+        angles = rng_sample(n, seed=6).angles
+        C, S = CircularSample.from_data(angles).trig_moments(5)
+        for order in (np.int64(5), np.int32(5)):
+            Cn, Sn = CircularSample.from_data(angles).trig_moments(order)
+            np.testing.assert_array_equal(Cn, C)
+            np.testing.assert_array_equal(Sn, S)
+        with pytest.raises(TypeError):
+            CircularSample.from_data(angles).trig_moments(3.5)
+
 
 def longdouble_kde(spec, data, points):
     """Mean kernel value from differences taken in long double."""

@@ -1,11 +1,9 @@
-"""Property tests of the two moment engines behind
-CircularSample.trig_moments: the block-rebased engine below
-_NUFFT_MIN_N angles and the type-1 NUFFT from there on.
+"""Property tests of CircularSample.trig_moments, a type-1 NUFFT at
+every sample size.
 
 Oracles: the same sums over a long-double copy of the angles, and the
 one-cos-and-sin-per-(i, j) loop, whose error against that reference sets
-the allowed error.  Below the crossover the moments must equal, bit for
-bit, those of the engine as it was before the NUFFT existed.
+the allowed error.
 """
 
 import numpy as np
@@ -14,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circkde import estimators
-from circkde.estimators import _NUFFT_MIN_N, CircularSample, _nufft_moments, _trig_parts
+from circkde.estimators import CircularSample, _nufft_moments
 
 
 def rng_sample(n, seed=0):
@@ -44,30 +42,6 @@ def assert_within_loop_bound(got, angles, J):
         assert err <= 2.0 * float(np.max(np.abs(loop - ref))) + 1e-14 * len(angles)
 
 
-def parent_engine_moments(angles, chain):
-    """trig_moments as it was before the NUFFT: the block-rebased engine
-    extended to each order of ``chain`` in turn, exactly the orders asked
-    for."""
-    C = S = np.empty(0)
-    have = 0
-    for max_order in chain:
-        if max_order <= have:
-            continue
-        starts = np.arange(have + 1, max_order + 1, 64)
-        width = min(64, max_order - have)
-        nb = len(starts)
-        rows = max(1, (1 << 16) // (2 * max(nb, width)))
-        acc = np.zeros((2 * nb, 2 * width))
-        for lo in range(0, len(angles), rows):
-            rebase, table = _trig_parts(angles[lo : lo + rows], starts, width)
-            acc += rebase @ table.T
-        new_c = (acc[:nb, :width] - acc[nb:, width:]).ravel()[: max_order - have]
-        new_s = (acc[nb:, :width] + acc[:nb, width:]).ravel()[: max_order - have]
-        C, S = np.concatenate([C, new_c]), np.concatenate([S, new_s])
-        have = max_order
-    return C, S
-
-
 def kind_angles(kind, n, seed):
     """n angles: uniform, or a von Mises(mu, 1000) cluster at 0 or at pi
     (which straddles the wrap at +-pi)."""
@@ -78,19 +52,20 @@ def kind_angles(kind, n, seed):
 
 
 KINDS = ("uniform", "cluster0", "cluster_pi")
-# orders on both sides of the engine's 64-order blocks and of the NUFFT's
+# orders on both sides of _spectral_sum's 64-order blocks and of the NUFFT's
 # smallest plan (1024 orders), and one that needs a plan of 8192
 EDGE_ORDERS = (1, 63, 64, 65, 1024, 1025, 4200)
 
 ANGLE_LISTS = st.lists(
     st.floats(-np.pi, np.pi, allow_nan=False, allow_infinity=False), min_size=1, max_size=300
 )
-# the block-rebased engine's order blocks are 64 wide
+# orders within the NUFFT's smallest plan
 BLOCK_EDGE_ORDERS = st.sampled_from([1, 63, 64, 65, 129])
 
 
 class TestMomentEngine:
-    """Properties of the block-rebased moments against a long-double loop."""
+    """Properties of the moments of small samples against a long-double
+    loop."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(ANGLE_LISTS, BLOCK_EDGE_ORDERS)
@@ -114,7 +89,7 @@ class TestMomentEngine:
             assert err <= 2.0 * float(np.max(np.abs(loop - ref))) + 1e-14 * s.n
 
     def test_more_than_64_rebases(self):
-        # J = 4200 needs 66 rebase starts of 64 orders, the last one partial
+        # J = 4200 needs a plan of 8192 orders
         s = rng_sample(300, seed=8)
         C, S = s.trig_moments(4200)
         Cr, Sr = longdouble_moments(s.angles, 4200)
@@ -147,35 +122,32 @@ class TestMomentEngine:
 
 
 class TestNufftMoments:
-    """The type-1 NUFFT behind trig_moments from _NUFFT_MIN_N angles on,
-    held to the engine's bound against long-double sums."""
+    """The type-1 NUFFT behind trig_moments, held to twice the loop's error
+    against long-double sums."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("J", EDGE_ORDERS)
     def test_fixed_cases_at_the_crossover(self, kind, J):
-        s = CircularSample.from_data(kind_angles(kind, _NUFFT_MIN_N, seed=J))
+        s = CircularSample.from_data(kind_angles(kind, 500, seed=J))
         assert_within_loop_bound(s.trig_moments(J), s.angles, J)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", [50, 100, 200, 1000])
     def test_below_the_crossover_too(self, kind, n):
-        # the crossover is set by time alone: the NUFFT meets the bound at
-        # small n as well, where trig_moments does not run it
-        angles = CircularSample.from_data(kind_angles(kind, n, seed=n)).angles
-        C, S = _nufft_moments(angles, 2048)
-        assert_within_loop_bound((C[:1025], S[:1025]), angles, 1025)
+        s = CircularSample.from_data(kind_angles(kind, n, seed=n))
+        assert_within_loop_bound(s.trig_moments(1025), s.angles, 1025)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
         st.lists(st.floats(-np.pi, np.pi, allow_nan=False), max_size=40),
         st.sampled_from(KINDS),
-        st.integers(_NUFFT_MIN_N, 3000),
+        st.integers(1, 3000),
         st.integers(0, 2**32 - 1),
         st.sampled_from(EDGE_ORDERS[:-1]),
     )
     def test_matches_long_double_loop(self, extra, kind, n, seed, J):
         # drawn edge values (+-pi, 0, -0.0, subnormals) on top of a bulk
-        angles = np.concatenate([extra, kind_angles(kind, n - len(extra), seed)])
+        angles = np.concatenate([extra, kind_angles(kind, max(0, n - len(extra)), seed)])
         s = CircularSample.from_data(angles)
         assert_within_loop_bound(s.trig_moments(J), s.angles, J)
 
@@ -183,15 +155,43 @@ class TestNufftMoments:
         s = rng_sample(20000, seed=5)
         assert_within_loop_bound(s.trig_moments(130), s.angles, 130)
 
-    def test_routes_by_sample_size(self):
-        angles = kind_angles("uniform", _NUFFT_MIN_N, seed=1)
-        C, S = CircularSample.from_data(angles).trig_moments(30)
-        Cn, Sn = _nufft_moments(CircularSample.from_data(angles).angles, 1024)
-        np.testing.assert_array_equal(C, Cn[:30])
-        np.testing.assert_array_equal(S, Sn[:30])
+    def test_equals_the_nufft_prefix(self):
+        # at every n, trig_moments is one NUFFT of the smallest plan, bit
+        # for bit
+        for n in (1, 2, 499, 500):
+            s = CircularSample.from_data(kind_angles("uniform", n, seed=1))
+            C, S = s.trig_moments(30)
+            Cn, Sn = _nufft_moments(s.angles, 1024)
+            np.testing.assert_array_equal(C, Cn[:30])
+            np.testing.assert_array_equal(S, Sn[:30])
+
+    @pytest.mark.parametrize("J", [1, 16, 65, 1025, 4200])
+    @pytest.mark.parametrize(
+        "angles",
+        [
+            [-np.pi],
+            [0.0],
+            [3.14159],
+            [np.pi - 1e-9, -np.pi + 1e-9],
+            [0.7] * 10,
+            [-np.pi] * 499,
+        ],
+        ids=[
+            "one-at-minus-pi",
+            "one-at-0",
+            "one-below-pi",
+            "two-across-the-seam",
+            "ten-identical",
+            "499-at-minus-pi",
+        ],
+    )
+    def test_edge_samples(self, angles, J):
+        s = CircularSample.from_data(angles)
+        assert_within_loop_bound(s.trig_moments(J), s.angles, J)
 
     def test_one_pass_for_an_analysis(self, monkeypatch):
-        # the 16, 30 and 960 orders of a large-n analysis come from one NUFFT
+        # the 16, 30 and 960 orders of an analysis come from one NUFFT, at the
+        # crash data's n = 85, mc-zoo's n = 100 and n = 500
         calls = []
         original = estimators._nufft_moments
         monkeypatch.setattr(
@@ -199,14 +199,15 @@ class TestNufftMoments:
             "_nufft_moments",
             lambda angles, orders: calls.append(orders) or original(angles, orders),
         )
-        s = rng_sample(_NUFFT_MIN_N, seed=2)
-        for J in (16, 30, 960, 1024):
-            s.trig_moments(J)
-        assert calls == [1024]
+        for n in (85, 100, 500):
+            s = rng_sample(n, seed=2)
+            for J in (16, 30, 960, 1024):
+                s.trig_moments(J)
+        assert calls == [1024, 1024, 1024]
 
     @pytest.mark.parametrize("chain", [(16, 30, 960, 1024, 1025, 2049, 4200), (4200, 16, 5000)])
     def test_extension_across_plans_keeps_prefix_bit_identical(self, chain):
-        s = CircularSample.from_data(kind_angles("cluster_pi", _NUFFT_MIN_N, seed=3))
+        s = CircularSample.from_data(kind_angles("cluster_pi", 500, seed=3))
         seen = []
         for J in chain:
             C, S = s.trig_moments(J)
@@ -222,7 +223,7 @@ class TestNufftMoments:
         st.integers(0, 2**32 - 1), st.lists(st.integers(1, 1500), min_size=1, max_size=5)
     )
     def test_random_extensions_keep_prefix_bit_identical(self, seed, steps):
-        s = CircularSample.from_data(kind_angles("uniform", _NUFFT_MIN_N, seed))
+        s = CircularSample.from_data(kind_angles("uniform", 500, seed))
         seen = []
         for J in np.cumsum(steps):
             C, S = s.trig_moments(int(J))
@@ -231,16 +232,3 @@ class TestNufftMoments:
                 np.testing.assert_array_equal(S[: len(Sp)], Sp)
             seen.append((C.copy(), S.copy()))
 
-
-class TestBelowCrossover:
-    """Below _NUFFT_MIN_N trig_moments is the block-rebased engine, bit for
-    bit as before the NUFFT existed."""
-
-    @pytest.mark.parametrize("n", [1, 2, 50, 100, _NUFFT_MIN_N - 1])
-    @pytest.mark.parametrize("chain", [(16, 30, 960), (130,), (1, 64, 65, 4200)])
-    def test_equals_the_parent_engine(self, n, chain):
-        s = CircularSample.from_data(kind_angles("cluster_pi", n, seed=n))
-        for J in chain:
-            C, S = s.trig_moments(J)
-        Cp, Sp = parent_engine_moments(s.angles, chain)
-        assert np.array_equal(C, Cp[: chain[-1]]) and np.array_equal(S, Sp[: chain[-1]])

@@ -1172,6 +1172,49 @@ class TestSmallSamples:
         assert sel.nu == pytest.approx(0.999949998749875, rel=1e-9)
 
 
+
+@functools.lru_cache(maxsize=1)
+def concentrated_angles():
+    """100 angles from a von Mises of kappa 1e6 about 0.5."""
+    return np.random.default_rng(1).vonmises(0.5, 1e6, 100)
+
+
+class TestConcentratedSample:
+    """Every selector at kappa = 1e6, pinned to the values of the code
+    before trig_moments ran the NUFFT at every sample size."""
+
+    def test_rt(self):
+        sel = select_rt(CircularSample.from_data(concentrated_angles()), SelectorConfig())
+        assert not sel.fallback_uniform
+        assert sel.nu == pytest.approx(0.9999999054925731, rel=1e-9)
+
+    def test_lcv_takes_narrowest_grid_h(self):
+        sel = select_lcv(CircularSample.from_data(concentrated_angles()), SelectorConfig())
+        hs, _, _, _ = _lcv_table(VM, False)
+        assert not sel.fallback_uniform
+        assert sel.trace[-1].pilot_h == pytest.approx(hs[0], rel=1e-12)
+        assert sel.nu == pytest.approx(0.999949998749875, rel=1e-9)
+
+    def test_gold_takes_narrowest_grid_kernel(self):
+        def truth(t):
+            return np.exp(1e6 * (np.cos(np.asarray(t) - 0.5) - 1.0)) / (2 * np.pi * i0e(1e6))
+
+        s = CircularSample.from_data(concentrated_angles())
+        sel = select_gold(s, truth, SelectorConfig())
+        assert not sel.fallback_uniform
+        assert sel.nu == default_gold_grid(VM)[-1]
+        assert sel.nu == pytest.approx(0.999949998749875, rel=1e-9)
+
+    @pytest.mark.parametrize("name, reason", [("dpi", "cascade-error"), ("ste", "numeric-error")])
+    def test_plug_in_rules_fall_back(self, name, reason):
+        # the s = 6 pilot's coefficient series does not meet its tolerance
+        # within the truncation's term limit
+        sample = CircularSample.from_data(concentrated_angles())
+        sel = selectors.SELECTORS[name](sample, SelectorConfig())
+        assert sel.fallback_uniform
+        assert sel.nu == 0.0 and sel.h == UNIFORM_BANDWIDTH
+        assert sel.trace[-1].label == f"fallback:{reason}"
+
 class TestSelectionBuilder:
     """Every selector's answer comes from selectors._selection: a kernel
     gives its nu, bandwidth and concentration; the uniform density (nu = 0)
