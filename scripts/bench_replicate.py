@@ -15,14 +15,22 @@ SIZES the report gives the median over ops of
 * the minor page faults of the op (``getrusage`` ``ru_minflt``), after
   warm-up ops.
 
+With the wrapped Epanechnikov kernel it also gives the median
+milliseconds of one n = 100 VM2 replicate (the same selectors) and of
+``select_lcv`` on a fresh n = 1000 VM-MIX2 sample, over WE_OPS ops per
+round.
+
 Then both trees run on every ``mc-zoo`` pool sample (five zoo models,
-replicate seeds 0-255, n = 100, drawn as run_monte_carlo draws them) and
+replicate seeds 0-255, n = 100, drawn as run_monte_carlo draws them),
 every ``large-n`` pool sample (128 samples, n = 10 000, drawn by
-``bench/workloads.py``).  The report counts the rt, dpi and ste
-selections (nu, h and trace) that differ between the trees, and gives the
-worst relative deviation of the gold-standard and LCV nu, of each
-selector's realized ISE, and of ``kde`` and ``kde_deriv`` (r = 1) on the
-512-point grid at the DPI concentration of the large-n samples.
+``bench/workloads.py``) and a ``we`` pool: the first WE_POOL replicate
+seeds of each zoo model at n = 100, selected with the wrapped
+Epanechnikov.  The report counts the rt, dpi and ste selections (nu, h
+and trace) that differ between the trees, and gives the worst relative
+deviation of every selector's nu (rt, dpi and ste on every pool, lcv and
+gs on the mc-zoo and we pools), of their realized ISE, and of ``kde`` and
+``kde_deriv`` (r = 1) on the 512-point grid at the DPI concentration of
+the large-n samples.
 """
 
 import argparse
@@ -38,13 +46,19 @@ from bench_lcv import cpu_model, rel, run_child
 SIZES = {100: (25, 200), 1000: (5, 30), 10000: (1, 5)}
 SELECTORS = ("rt", "dpi", "ste", "lcv")
 LAYERS = SELECTORS + ("gs", "realized_ise")
+# wrapped Epanechnikov ops per round (replicates, then LCV calls) and pool
+# samples per zoo model
+WE_OPS = 5
+WE_POOL = 40
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "BENCH_replicate.json")
 
 _TIMING = r"""
-import json, resource, sys, time
+import json, resource, statistics, sys, time
 import numpy as np
 from circkde import simulate as sim
+from circkde.estimators import CircularSample
+from circkde.selectors import SelectorConfig, select_lcv
 
 args = json.loads(sys.argv[1])
 models = sim.builtin_models()
@@ -86,6 +100,20 @@ for n, (warm, count) in args["sizes"].items():
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
         rows.append({"op": wall, "faults": faults, **spent})
     out["ops"][n] = rows
+by_name = {m.name: m for m in models}
+we = SelectorConfig(kernel_family="wrappedepanechnikov")
+times = {"replicate_n100": [], "lcv_n1000": []}
+for k in range(args["we_ops"]):
+    t0 = time.perf_counter()
+    sim.run_monte_carlo(by_name["VM2"], args["selectors"], n=100, replicates=1, seed=k, cfg=we)
+    times["replicate_n100"].append(time.perf_counter() - t0)
+for k in range(args["we_ops"]):
+    rng = np.random.default_rng(np.random.SeedSequence([k, 1]))
+    sample = CircularSample.from_data(by_name["VM-MIX2"].sampler(rng, 1000).angles)
+    t0 = time.perf_counter()
+    select_lcv(sample, we)
+    times["lcv_n1000"].append(time.perf_counter() - t0)
+out["we"] = times
 print(json.dumps(out))
 """
 
@@ -101,24 +129,27 @@ args = json.loads(sys.argv[1])
 sys.path.insert(0, args["bench"])
 import workloads
 
+out = {"mc-zoo": [], "large-n": [], "we": []}
+pools = (("mc-zoo", sel.SelectorConfig(), workloads.MC_POOL),
+         ("we", sel.SelectorConfig(kernel_family="wrappedepanechnikov"), args["we_pool"]))
+for pool, cfg, size in pools:
+    for model in builtin_models():
+        for seed in range(size):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+            sample = model.sampler(rng, workloads.MC_N)
+            picks = {m: sel.SELECTORS[m](sample, cfg) for m in args["selectors"]}
+            picks["gs"] = sel.select_gold(sample, model.density, cfg)
+            out[pool].append({
+                m: {"json": s.to_json(), "nu": s.nu,
+                    "ise": realized_ise(sample, cfg.kernel_family, s.nu, model.density)}
+                for m, s in picks.items()
+            })
 cfg = sel.SelectorConfig()
-out = {"mc-zoo": [], "large-n": []}
-for model in builtin_models():
-    for seed in range(workloads.MC_POOL):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-        sample = model.sampler(rng, workloads.MC_N)
-        picks = {m: sel.SELECTORS[m](sample, cfg) for m in args["selectors"]}
-        picks["gs"] = sel.select_gold(sample, model.density, cfg)
-        out["mc-zoo"].append({
-            m: {"json": s.to_json(), "nu": s.nu,
-                "ise": realized_ise(sample, cfg.kernel_family, s.nu, model.density)}
-            for m, s in picks.items()
-        })
 for k in range(workloads.LARGE_POOL):
     sample = CircularSample.from_data(workloads.large_angles(k))
     picks = {m: sel.SELECTORS[m](sample, cfg) for m in ("rt", "dpi", "ste")}
     spec = KernelSpec.from_nu(cfg.kernel_family, picks["dpi"].nu)
-    row = {m: {"json": s.to_json()} for m, s in picks.items()}
+    row = {m: {"json": s.to_json(), "nu": s.nu} for m, s in picks.items()}
     row["kde"] = kde(sample, spec).values.tolist()
     row["kde_deriv"] = kde_deriv(sample, spec, 1).values.tolist()
     out["large-n"].append(row)
@@ -127,7 +158,11 @@ print(json.dumps(out))
 
 
 def _timing(src):
-    args = {"sizes": {str(n): v for n, v in SIZES.items()}, "selectors": list(SELECTORS)}
+    args = {
+        "sizes": {str(n): v for n, v in SIZES.items()},
+        "selectors": list(SELECTORS),
+        "we_ops": WE_OPS,
+    }
     return run_child(src, _TIMING, args)
 
 
@@ -142,6 +177,10 @@ def _summary(runs):
         cell["faults_per_op_mean"] = statistics.fmean(r["faults"] for r in rows)
         cell["ops"] = len(rows)
         out[n] = cell
+    out["wrappedepanechnikov"] = {
+        f"{k}_ms": 1e3 * statistics.median(t for run in runs for t in run["we"][k])
+        for k in ("replicate_n100", "lcv_n1000")
+    }
     return out
 
 
@@ -153,18 +192,16 @@ def _array_dev(a, b):
 def _compare(before, after):
     differ = {}
     worst = {}
-    for pool in ("mc-zoo", "large-n"):
+    for pool in ("mc-zoo", "large-n", "we"):
         for old, new in zip(before[pool], after[pool]):
             for m in ("rt", "dpi", "ste"):
                 key = f"{pool}.{m}"
                 differ[key] = differ.get(key, 0) + (old[m]["json"] != new[m]["json"])
-    for old, new in zip(before["mc-zoo"], after["mc-zoo"]):
-        for m in ("gs", "lcv"):
-            key = f"mc-zoo.{m}.nu"
-            worst[key] = max(worst.get(key, 0.0), rel(old[m]["nu"], new[m]["nu"]))
-        for m in (*SELECTORS, "gs"):
-            key = f"mc-zoo.{m}.ise"
-            worst[key] = max(worst.get(key, 0.0), rel(old[m]["ise"], new[m]["ise"]))
+            for m in (*SELECTORS, "gs"):
+                for field in ("nu", "ise"):
+                    if field in old.get(m, {}):
+                        key = f"{pool}.{m}.{field}"
+                        worst[key] = max(worst.get(key, 0.0), rel(old[m][field], new[m][field]))
     for old, new in zip(before["large-n"], after["large-n"]):
         for key in ("kde", "kde_deriv"):
             worst[f"large-n.{key}"] = max(worst.get(f"large-n.{key}", 0.0), _array_dev(old[key], new[key]))
@@ -183,7 +220,7 @@ def main(argv=None):
     for _ in range(opts.rounds):
         runs["before"].append(_timing(opts.before))
         runs["after"].append(_timing(opts.after))
-    pool_args = {"selectors": list(SELECTORS), "bench": os.path.join(ROOT, "bench")}
+    pool_args = {"selectors": list(SELECTORS), "bench": os.path.join(ROOT, "bench"), "we_pool": WE_POOL}
     pools_after = run_child(opts.after, _POOLS, pool_args)
     differ, worst = _compare(run_child(opts.before, _POOLS, pool_args), pools_after)
     before, after = _summary(runs["before"]), _summary(runs["after"])
@@ -192,7 +229,9 @@ def main(argv=None):
             "one mc-zoo replicate (run_monte_carlo: rt, dpi, ste, lcv and the gold "
             "standard, replicates=1, the five zoo models in turn): median ms per op in "
             "each selector, in the five realized_ise calls and in the whole op, and "
-            f"minor page faults per op, over {opts.rounds} alternating rounds"
+            f"minor page faults per op, over {opts.rounds} alternating rounds; and "
+            "with the wrapped Epanechnikov, median ms of one n = 100 VM2 replicate "
+            "and of select_lcv on an n = 1000 VM-MIX2 sample"
         ),
         "machine": {
             "nproc": os.cpu_count(),
@@ -204,7 +243,7 @@ def main(argv=None):
         "ops_per_round": {str(n): count for n, (_, count) in SIZES.items()},
         "before": before,
         "after": after,
-        "speedup_op": {n: before[n]["op_ms"] / after[n]["op_ms"] for n in before},
+        "speedup_op": {n: before[n]["op_ms"] / after[n]["op_ms"] for n in map(str, SIZES)},
         "pool_samples": {pool: len(rows) for pool, rows in pools_after.items()},
         "selections_that_differ": differ,
         "worst_rel_deviation": worst,

@@ -16,10 +16,10 @@ direct double sum available as a cross-checking mode.
 * Direct: the density (r = 0) of the closed-form families (von Mises,
   wrapped Cauchy and cardioid from the squared half chord between angles,
   the wrapped Epanechnikov from its parabola) and the wrapped Epanechnikov
-  derivatives.  The density stays direct because a direct sum keeps its
-  relative accuracy far below the peak, where the series only reaches about
-  1e-12 K(0) in absolute terms and can even go negative; likelihood
-  cross-validation rescores such values through it.
+  derivatives of orders 1 and 2.  The density stays direct because a
+  direct sum keeps its relative accuracy far below the peak, where the
+  series only reaches about 1e-12 K(0) in absolute terms and can even go
+  negative; likelihood cross-validation rescores such values through it.
 * Spectral: the wrapped normal density, derivatives of the smooth families,
   psi_hat, the leave-one-out table of select_lcv and the Parseval ISE.
 
@@ -40,16 +40,14 @@ _trig_parts: an exact rebase cos/sin(j0 x) and a table cos/sin(k x),
 k < 64, itself assembled from 8 fine and 8 coarse orders, so no order costs
 its own cos and sin.
 
-The direct density sums of the von Mises, wrapped Cauchy and cardioid run
-over the sample's memoized sorted view (CircularSample._sorted): the angles
-in ascending order with their cosines and sines.  Binary searches of the
-view give each evaluation point its nearest observation and the ends of its
-window, and a von Mises row keeps only the observations within e^-T of its
-largest term, T = 40 + ln n, a window in the spirit of the fast sum
-updating of Langrene & Warin (2019): at the concentrations DPI picks for
-n = 1e4 that is under a third of the pairs, and no retained exponent
-reaches exp's underflow path.  The von Mises sum builds its exponent and exp
-in place and applies the kernel's normaliser once per row.
+Every direct sum runs in one loop over the sample's memoized sorted view
+(CircularSample._sorted): the angles in ascending order with their cosines
+and sines.  Binary searches of the view give each evaluation point its
+window, in the spirit of the fast sum updating of Langrene & Warin (2019):
+a wrapped Epanechnikov row keeps its support, and a von Mises row the
+observations within e^-T of its largest term, T = 40 + ln n, under a third
+of the pairs at the concentrations DPI picks for n = 1e4, so that no
+retained exponent reaches exp's underflow path.
 """
 
 import functools
@@ -64,6 +62,7 @@ from .kernels import (
     _HALF_ANGLE_FAMILIES,
     KernelFamily,
     KernelSpec,
+    _epanechnikov_value,
     _half_angle_density,
     derivative_weights,
     kernel_value,
@@ -85,13 +84,6 @@ __all__ = [
     "grid_ise",
     "truth_on_ise_grid",
 ]
-
-# families with a cheap closed-form density (everything but wrapped normal)
-_CLOSED_DENSITY = _HALF_ANGLE_FAMILIES | {KernelFamily.WRAPPEDEPANECHNIKOV}
-
-# the r = 0 cosine series of the wrapped Epanechnikov decays like j^-3 and
-# never meets the truncation tolerance, so its ISE is summed on the grid
-_DIRECT_ISE = {KernelFamily.WRAPPEDEPANECHNIKOV}
 
 # orders per rebase in _trig_parts and the width of its fine factor, and the
 # number of array elements a row block of a direct kernel sum, or a spreading
@@ -408,19 +400,34 @@ class FunctionalEstimate:
     pilot: KernelSpec
 
 
+def _extended(angles, idx):
+    """Entries ``idx`` of the sorted ``angles`` read as extended by +-2 pi:
+    entry k is angle k mod n plus 2 pi floor(k / n)."""
+    return angles.take(idx, mode="wrap") + 2.0 * np.pi * (idx // len(angles))
+
+
 def _windows(view, spec, x, px, py):
     """Window [lo, hi) of the extended sorted view (_SortedView) for each
     point x in [-pi, pi), with coordinates (px, py).
 
-    The nearest observation, entry j - 1 or j of the extended view with j =
+    A wrapped Epanechnikov window is the support, |x - e| < lam, searched as
+    the rounded ends x -+ lam among the doubles e the row subtracts; it may
+    add an entry at the edge and keeps one after an empty support, terms 0.
+
+    For von Mises the nearest observation, entry j - 1 or j with j =
     searchsorted(x), gives the row's smallest squared chord q_min and so its
-    largest von Mises exponent -kappa q_min / 2.  The window holds every
-    observation with q <= q_min + 2 T / kappa, T = _TAIL_EXPONENT + ln n,
-    widened to take in that nearest entry whatever the rounding.  A window
-    that would hold n entries or more is the whole sample, [0, n), as is
-    every wrapped Cauchy and cardioid window: they have no negligible tail.
+    largest exponent -kappa q_min / 2.  The window holds every observation
+    with q <= q_min + 2 T / kappa, T = _TAIL_EXPONENT + ln n, widened to take
+    in that nearest entry whatever the rounding.  A window that would hold n
+    entries or more is the whole sample, [0, n), as is every wrapped Cauchy
+    and cardioid window: they have no negligible tail.
     """
     n = len(view.angles)
+    if spec.family == KernelFamily.WRAPPEDEPANECHNIKOV:
+        ext = _extended(view.angles, np.arange(-n, 2 * n))
+        lo = np.searchsorted(ext, x - spec.lam) - n
+        hi = np.searchsorted(ext, x + spec.lam, side="right") - n
+        return lo, np.maximum(hi, lo + 1)
     if spec.family != KernelFamily.VONMISES:
         lo = np.zeros(len(x), dtype=np.intp)
         return lo, lo + n
@@ -443,48 +450,34 @@ def _windows(view, spec, x, px, py):
 
 
 def _direct_sum(sample, spec, deriv_order, thetas):
-    """Mean of kernel values over the sample at each angle, summed in blocks
-    of about _BLOCK_ELEMS pairs.
+    """Mean of kernel values K^(r) over the sample at each angle.
 
-    The von Mises, wrapped Cauchy and cardioid densities are functions of the
-    squared chord q = |e^{ix} - e^{i Theta}|^2 = 4 sin^2((x - Theta)/2),
-    taken from the coordinates of the sample's memoized sorted view, so no
-    pair needs a trig call or an angle reduction.  Each row sums its own
-    window of the view (_windows): the whole sample, or for von Mises at
-    large kappa the entries within e^-T of the row's largest term, whose
-    dropped terms carry less than e^-40 of the row sum.  So no pair far from
-    a point reaches exp's slow underflow path.  The points are walked in
-    ascending order, a block of consecutive points at a time, and a block
-    evaluates the pairs of one contiguous run of the view, the union of its
-    windows; each row then sums only its own window, so its value does not
-    depend on the other points asked for.  The von Mises block is built in
-    place as exp(-(kappa/2) q), bit for bit the exponent -2 kappa s of
-    _half_angle_density at s = q/4, and its normaliser 1/(2 pi I0e(kappa))
-    is applied once per row mean instead of once per pair.
+    The points are walked in ascending order, a block of consecutive points
+    at a time, and a block evaluates the pairs of one contiguous run of the
+    sample's extended sorted view, the union of its windows (_windows),
+    about _BLOCK_ELEMS pairs; each row then sums only its own window, so its
+    value does not depend on the other points asked for.
 
-    The wrapped Epanechnikov and every derivative order sum kernel_value
-    over all pairs, in row blocks.
+    The von Mises, wrapped Cauchy and cardioid densities are functions of
+    the squared chord q = |e^{ix} - e^{i Theta}|^2 = 4 sin^2((x - Theta)/2)
+    from the view's coordinates: no pair needs a trig call.  The von Mises
+    block is exp(-(kappa/2) q) in place, bit for bit _half_angle_density's
+    exponent, and its normaliser 1/(2 pi I0e(kappa)) is applied per row.
+    The wrapped Epanechnikov (r <= 2) evaluates the signed differences d to
+    the view's angles with _epanechnikov_value; points in [-pi, pi) skip
+    wrap_angle, whose moves by an ulp of pi would decide ties |d| = lam.
     """
     n = sample.n
-    out = np.empty(len(thetas))
-    if deriv_order != 0 or spec.family not in _HALF_ANGLE_FAMILIES:
-        data = sample.angles
-        rows = max(1, min(len(thetas), _BLOCK_ELEMS // n))
-        for lo in range(0, len(thetas), rows):
-            hi = min(lo + rows, len(thetas))
-            diffs = thetas[lo:hi, None] - data[None, :]
-            vals = kernel_value(spec, diffs.ravel(), deriv_order).reshape(hi - lo, n)
-            out[lo:hi] = vals.mean(axis=1)
-        return out
     view = sample._sorted
-    x = wrap_angle(thetas)
+    x = np.where((thetas >= -np.pi) & (thetas < np.pi), thetas, wrap_angle(thetas))
     order = np.argsort(x, kind="stable")
     x = x[order]
     px, py = np.cos(thetas[order]), np.sin(thetas[order])
     lo, hi = _windows(view, spec, x, px, py)
     vonmises = spec.family == KernelFamily.VONMISES
-    # a block holds at most _BLOCK_ELEMS pairs, or one row of at most n
-    buf = np.empty((2, max(_BLOCK_ELEMS, n)))
+    out = np.empty(len(thetas))
+    # a block holds at most _BLOCK_ELEMS pairs, or one row
+    buf = np.empty((2, max(_BLOCK_ELEMS, int(np.max(hi - lo, initial=0)))))
     a, m = 0, len(thetas)
     while a < m:
         # the most points from a whose union of windows fits in one block
@@ -494,24 +487,28 @@ def _direct_sum(sample, spec, deriv_order, thetas):
         cost = (right - left) * np.arange(1, look + 1)
         k = max(1, int(np.searchsorted(cost, _BLOCK_ELEMS, side="right")))
         first, width = int(left[k - 1]), int(right[k - 1] - left[k - 1])
-        if 0 <= first and first + width <= n:
-            dx, dy = view.cos[first : first + width], view.sin[first : first + width]
-        else:
-            idx = np.arange(first, first + width)
-            dx, dy = view.cos.take(idx, mode="wrap"), view.sin.take(idx, mode="wrap")
+        idx = np.arange(first, first + width)
         q = buf[0, : k * width].reshape(k, width)
-        tmp = buf[1, : k * width].reshape(k, width)
-        np.subtract(px[a : a + k, None], dx, out=q)
-        np.square(q, out=q)
-        np.subtract(py[a : a + k, None], dy, out=tmp)
-        np.square(tmp, out=tmp)
-        q += tmp
-        if vonmises:
-            q *= -0.5 * spec.kappa
-            vals = np.exp(q, out=q)
+        if spec.family == KernelFamily.WRAPPEDEPANECHNIKOV:
+            np.subtract(x[a : a + k, None], _extended(view.angles, idx), out=q)
+            vals = _epanechnikov_value(spec, q, deriv_order)
         else:
-            q *= 0.25
-            vals = _half_angle_density(spec, q)
+            tmp = buf[1, : k * width].reshape(k, width)
+            if 0 <= first and first + width <= n:
+                dx, dy = view.cos[first : first + width], view.sin[first : first + width]
+            else:
+                dx, dy = view.cos.take(idx, mode="wrap"), view.sin.take(idx, mode="wrap")
+            np.subtract(px[a : a + k, None], dx, out=q)
+            np.square(q, out=q)
+            np.subtract(py[a : a + k, None], dy, out=tmp)
+            np.square(tmp, out=tmp)
+            q += tmp
+            if vonmises:
+                q *= -0.5 * spec.kappa
+                vals = np.exp(q, out=q)
+            else:
+                q *= 0.25
+                vals = _half_angle_density(spec, q)
         # row r's window, as offsets into the flattened block
         bounds = np.empty(2 * k, dtype=np.intp)
         bounds[0::2] = lo[a : a + k] - first
@@ -584,24 +581,24 @@ def _spectral_sum(sample, weights, deriv_order, thetas):
 def kde_values(sample, kernel, points, deriv_order=0):
     """Raw estimator values at arbitrary angles (no ordering required).
 
-    The density (deriv_order 0) of a closed-form family and any wrapped
-    Epanechnikov order are direct sums over the sample, which keep their
-    relative accuracy in the tails; every other case sums the kernel's
-    cosine series on the sample's moments, accurate to about 1e-12 of the
-    peak.  The uniform kernel (nu = 0) gives its constant.
+    The density (deriv_order 0) of a closed-form family and the wrapped
+    Epanechnikov at orders 1 and 2 (UnsupportedKernelError beyond) are
+    direct sums over windows of the sorted sample (_direct_sum), which keep
+    their relative accuracy in the tails; every other case sums the
+    kernel's cosine series on the sample's moments, accurate to about 1e-12
+    of the peak.  The uniform kernel (nu = 0) gives its constant.
     """
     points = np.asarray(points, dtype=float)
     if sample.n < 1:
         raise ValueError("sample must contain at least one angle")
+    if deriv_order < 0:
+        raise ValueError(f"deriv_order must be nonnegative, got {deriv_order}")
     if kernel.nu == 0.0:
         return np.full(len(points), 1.0 / (2.0 * np.pi) if deriv_order == 0 else 0.0)
-    if deriv_order == 0:
-        direct = kernel.family in _CLOSED_DENSITY
-    else:
-        # the differentiated series decays too slowly past the wrapped
-        # Epanechnikov kink; its piecewise polynomial is exact and cheap
-        direct = kernel.family == KernelFamily.WRAPPEDEPANECHNIKOV
-    if direct:
+    # the wrapped Epanechnikov series decays too slowly past the kernel's
+    # kinks; its piecewise polynomial is exact and cheap at orders 0 to 2
+    epanechnikov = kernel.family == KernelFamily.WRAPPEDEPANECHNIKOV
+    if epanechnikov or (deriv_order == 0 and kernel.family in _HALF_ANGLE_FAMILIES):
         return _direct_sum(sample, kernel, deriv_order, points)
     weights = derivative_weights(kernel, deriv_order)
     return _spectral_sum(sample, weights, deriv_order, points)
@@ -733,7 +730,9 @@ def ise_weights(kernels):
     derivative_weights(kernels[g], 0); the uniform density (nu = 0) of any
     family is a zero row.  Returns None when a kernel's series cannot be
     summed to tolerance, in which case grid_ise sums the estimate directly."""
-    if any(k.nu > 0.0 and k.family in _DIRECT_ISE for k in kernels):
+    # the wrapped Epanechnikov r = 0 series decays like j^-3 and never meets
+    # the truncation tolerance, so its ISE is summed on the grid
+    if any(k.nu > 0.0 and k.family == KernelFamily.WRAPPEDEPANECHNIKOV for k in kernels):
         return None
     rows = [derivative_weights(k, 0) for k in kernels]
     out = np.zeros((len(rows), max(map(len, rows), default=0)))

@@ -544,6 +544,23 @@ def _half_angle_density(spec, s):
     return (1.0 + 2.0 * nu * (1.0 - 2.0 * s)) / two_pi
 
 
+def _epanechnikov_value(spec, d, deriv_order):
+    """K^(r)(d) of a wrapped Epanechnikov kernel at differences d within a
+    period of 0: 3 (1 - (d / lam)^2) / (4 lam) or its first or second
+    derivative where |d| < lam, else 0 (at |d| = lam too)."""
+    if deriv_order >= 3:
+        raise UnsupportedKernelError(
+            "wrapped Epanechnikov derivatives beyond order 2 are distributional"
+        )
+    lam = spec.lam
+    if deriv_order == 0:
+        out = 3.0 * (1.0 - (d / lam) ** 2) / (4.0 * lam)
+    else:
+        out = (-3.0 * d if deriv_order == 1 else np.full(np.shape(d), -3.0)) / (2.0 * lam**3)
+    np.copyto(out, 0.0, where=np.abs(d) >= lam)
+    return out
+
+
 def kernel_value(spec, theta, deriv_order=0):
     """Evaluate K^(r)(theta) for scalar or array theta.
 
@@ -562,10 +579,6 @@ def kernel_value(spec, theta, deriv_order=0):
     if spec.nu == 0.0:  # the uniform density: every derivative vanishes
         out = np.full(np.shape(np.atleast_1d(theta)), 1.0 / two_pi if r == 0 else 0.0)
         return float(out[0]) if scalar else out
-    if fam == KernelFamily.WRAPPEDEPANECHNIKOV and r >= 3:
-        raise UnsupportedKernelError(
-            "wrapped Epanechnikov derivatives beyond order 2 are distributional"
-        )
 
     if r == 0 and fam in _HALF_ANGLE_FAMILIES:
         # sin^2(theta / 2) is 2 pi periodic, so theta needs no reduction
@@ -573,14 +586,7 @@ def kernel_value(spec, theta, deriv_order=0):
         return float(out[0]) if scalar else out
     th = np.atleast_1d(wrap_angle(theta)).astype(float)
     if fam == KernelFamily.WRAPPEDEPANECHNIKOV:
-        lam = spec.lam
-        inside = np.abs(th) < lam
-        if r == 0:
-            out = np.where(inside, 3.0 * (1.0 - (th / lam) ** 2) / (4.0 * lam), 0.0)
-        elif r == 1:
-            out = np.where(inside, -3.0 * th / (2.0 * lam**3), 0.0)
-        else:
-            out = np.where(inside, -3.0 / (2.0 * lam**3), 0.0)
+        out = _epanechnikov_value(spec, th, r)
     elif r == 0:  # wrapped normal: no elementary closed form
         weights = _series_weights(spec, 0, 1, DEFAULT_TRUNCATION)
         out = 1.0 / two_pi + _series_eval(weights, th, 0.0)

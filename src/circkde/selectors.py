@@ -61,6 +61,9 @@ __all__ = [
 ]
 
 _PILOT_FAMILIES = (KernelFamily.VONMISES, KernelFamily.WRAPPEDNORMAL)
+# bandwidth bracket and tolerance of the solve-the-equation root
+_STE_BRACKET = (1e-6, UNIFORM_BANDWIDTH - 1e-6)
+_STE_TOL = 1e-8
 # numeric failures that downgrade a selector to the uniform fallback
 _SOFT_ERRORS = (FitError, ToleranceError, BracketingError, UnsupportedKernelError)
 
@@ -78,8 +81,7 @@ class SelectorConfig:
     """Options shared by the selectors.
 
     ``nstage`` is the number of data-based refinement stages in the
-    plug-in cascade; ``M_max`` bounds the reference mixture size; the
-    bracket and tolerance control the fixed-point solve.
+    plug-in cascade; ``M_max`` bounds the reference mixture size.
     """
 
     kernel_family: KernelFamily = KernelFamily.VONMISES
@@ -89,8 +91,6 @@ class SelectorConfig:
     M_max: int = 1
     exact_inversion: bool = False
     seed: int = 0
-    ste_bracket: tuple = (1e-6, UNIFORM_BANDWIDTH - 1e-6)
-    ste_tol: float = 1e-8
 
     def __post_init__(self):
         object.__setattr__(self, "kernel_family", KernelFamily(self.kernel_family))
@@ -108,11 +108,6 @@ class SelectorConfig:
             raise ValueError(f"nstage must be positive, got {self.nstage}")
         if self.M_max < 1:
             raise ValueError(f"M_max must be positive, got {self.M_max}")
-        lo, hi = self.ste_bracket
-        if not 0.0 < lo < hi:
-            raise ValueError(f"ste_bracket must satisfy 0 < lower < upper, got {self.ste_bracket}")
-        if self.ste_tol <= 0.0:
-            raise ValueError(f"ste_tol must be positive, got {self.ste_tol}")
 
 
 @dataclass(frozen=True)
@@ -352,13 +347,13 @@ def select_ste(sample, cfg):
                 known[h] = gap(h)
             return known[h]
 
-        lo, hi = cfg.ste_bracket
-        root = _first_root(g, lo, hi, cfg.ste_tol, trace)
+        lo, hi = _STE_BRACKET
+        root = _first_root(g, lo, hi, _STE_TOL, trace)
         if root is None:
             # widen once toward the lower end, then give up on the
             # fixed-point route and reuse the plug-in cascade
             try:
-                root = _first_root(g, lo * 1e-3, hi, cfg.ste_tol, trace)
+                root = _first_root(g, lo * 1e-3, hi, _STE_TOL, trace)
             except _SOFT_ERRORS:
                 root = None
         if root is None:

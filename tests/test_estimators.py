@@ -33,6 +33,7 @@ from circkde.estimators import (
     psi_hat,
     truth_on_ise_grid,
 )
+from circkde.errors import UnsupportedKernelError
 from circkde.kernels import KernelFamily, KernelSpec, kernel_value
 from circkde.selectors import SelectorConfig, select_dpi
 from circkde.simulate import builtin_models
@@ -111,11 +112,20 @@ class TestCircularSample:
             CircularSample.from_data(angles).trig_moments(3.5)
 
 
-def longdouble_kde(spec, data, points):
-    """Mean kernel value from differences taken in long double."""
+def longdouble_kde(spec, data, points, deriv_order=0):
+    """Mean kernel value (order ``deriv_order`` for the wrapped
+    Epanechnikov, the density otherwise) from differences taken in long
+    double."""
     d = np.asarray(points, np.longdouble)[:, None] - np.asarray(data, np.longdouble)[None, :]
-    s = np.sin(d / 2) ** 2
     two_pi = 2 * np.longdouble(np.pi)
+    if spec.family == KernelFamily.WRAPPEDEPANECHNIKOV:
+        # the wrapped difference, exact for |d| < pi
+        d -= two_pi * np.round(d / two_pi)
+        lam = np.longdouble(spec.lam)
+        vals = [3 * (1 - (d / lam) ** 2) / (4 * lam), -3 * d / (2 * lam**3),
+                np.full(d.shape, -3 / (2 * lam**3))][deriv_order]
+        return np.where(np.abs(d) < lam, vals, 0).mean(axis=1).astype(float)
+    s = np.sin(d / 2) ** 2
     if spec.family == KernelFamily.VONMISES:
         vals = np.exp(-2 * np.longdouble(spec.kappa) * s) / (two_pi * np.longdouble(ive(0, spec.kappa)))
     elif spec.family == KernelFamily.WRAPPEDCAUCHY:
@@ -125,6 +135,25 @@ def longdouble_kde(spec, data, points):
         nu = np.longdouble(spec.nu)
         vals = (1 + 2 * nu * (1 - 2 * s)) / two_pi
     return vals.mean(axis=1).astype(float)
+
+
+def assert_epanechnikov_rows_match(spec, sample, points, deriv_order=0):
+    """kde_values of a wrapped Epanechnikov kernel against longdouble_kde,
+    returning the values.  Near its support's edge the kernel is a
+    difference of nearly equal numbers, so the bound is absolute: 1e-14 of
+    the peak |K^(r)|, for the rounding of the values and their sum, plus
+    the largest slope |K^(r+1)| on the support times 2 ulps of |point| +
+    2 pi, for the rounding of a difference (wrapping the point, shifting
+    an observation by 2 pi, subtracting)."""
+    lam = spec.lam
+    peak = (3 / (4 * lam), 3 / (2 * lam**2), 3 / (2 * lam**3))[deriv_order]
+    slope = (3 / (2 * lam**2), 3 / (2 * lam**3), 0.0)[deriv_order]
+    points = np.asarray(points, dtype=float)
+    got = kde_values(sample, spec, points, deriv_order)
+    ref = longdouble_kde(spec, sample.angles, points, deriv_order)
+    bound = 1e-14 * peak + slope * 2 * np.spacing(np.abs(points) + 2 * np.pi)
+    np.testing.assert_array_less(np.abs(got - ref), bound)
+    return got, ref
 
 
 class TestDirectSums:
@@ -184,8 +213,9 @@ class TestDirectSums:
         s = rng_sample(5000, seed=12)
         spec = KernelSpec.wrapped_epanechnikov(lam=0.4)
         points = default_grid(64)
-        loop = np.array([np.mean(kernel_value(spec, x - s.angles)) for x in points])
-        assert np.array_equal(kde_values(s, spec, points), loop)
+        alone = np.array([kde_values(s, spec, points[i : i + 1])[0] for i in range(len(points))])
+        assert np.array_equal(kde_values(s, spec, points), alone)
+        assert_epanechnikov_rows_match(spec, s, points)
 
 
 def assert_rows_match_long_double(got, ref):
@@ -199,10 +229,11 @@ def assert_rows_match_long_double(got, ref):
 
 
 class TestWindowedSums:
-    """The direct density sums read the sample's sorted view, and a von
-    Mises row sums only the observations within e^-T of its largest term,
-    T = 40 + ln n.  Every row keeps the long-double accuracy of the sum over
-    all pairs, whatever the points and their order."""
+    """The direct sums read the sample's sorted view: a von Mises row sums
+    only the observations within e^-T of its largest term, T = 40 + ln n,
+    and a wrapped Epanechnikov row only its support.  Every row keeps the
+    long-double accuracy of the sum over all pairs, whatever the points and
+    their order."""
 
     SEAM = [-np.pi, np.nextafter(-np.pi, 0.0), np.nextafter(np.pi, 0.0), np.pi]
 
@@ -228,6 +259,7 @@ class TestWindowedSums:
         KernelSpec.vonmises(kappa=300.0),
         KernelSpec.wrapped_cauchy(0.9),
         KernelSpec.cardioid(0.3),
+        KernelSpec.wrapped_epanechnikov(lam=0.6),
     ], ids=lambda k: k.family.value)
     def test_unsorted_duplicate_and_unwrapped_points_keep_their_order(self, family):
         s = rng_sample(500, seed=8)
@@ -235,8 +267,11 @@ class TestWindowedSums:
         points = rng.uniform(-np.pi, np.pi, 200)
         points = np.concatenate([points, points[:30], points[:20] + 2 * np.pi,
                                  points[20:40] - 6 * np.pi, self.SEAM])
-        got = kde_values(s, family, points)
-        assert_rows_match_long_double(got, longdouble_kde(family, s.angles, points))
+        if family.family == KernelFamily.WRAPPEDEPANECHNIKOV:
+            got, _ = assert_epanechnikov_rows_match(family, s, points)
+        else:
+            got = kde_values(s, family, points)
+            assert_rows_match_long_double(got, longdouble_kde(family, s.angles, points))
         # each point's value is the one it gets alone and in sorted order
         np.testing.assert_array_equal(got[200:230], got[:30])
         order = np.argsort(points)
@@ -268,9 +303,84 @@ class TestWindowedSums:
         got = kde_values(s, spec, points)
         assert_rows_match_long_double(got, longdouble_kde(spec, s.angles, points))
 
+    @pytest.mark.parametrize("data", [
+        [0.3],
+        [0.3, -2.0],
+        [np.pi - 1e-3, -np.pi + 1e-3],
+        [-np.pi, -np.pi, 0.0],
+        [1.1] * 25,
+    ], ids=["n1", "n2", "n2-across-seam", "seam-duplicates", "25-identical"])
+    @pytest.mark.parametrize("lam", [0.01, 0.5, np.pi])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_epanechnikov_small_and_degenerate_samples(self, data, lam, r):
+        s = CircularSample.from_data(data)
+        spec = KernelSpec.wrapped_epanechnikov(lam=lam)
+        points = np.concatenate([default_grid(96), self.SEAM, s.angles, s.angles + 1e-4,
+                                 s.angles - 0.5 * lam, s.angles[:1] + 4 * np.pi])
+        got, _ = assert_epanechnikov_rows_match(spec, s, points, r)
+        # points beyond lam of every observation get no term at all: the
+        # second derivative is a nonzero constant on the support
+        far = longdouble_kde(spec, s.angles, points, 2) == 0.0
+        np.testing.assert_array_equal(got[far], 0.0)
+        if lam < 0.1:
+            assert np.count_nonzero(far) >= 90
+
+    @pytest.mark.parametrize("theta", [0.0, -2.0, -np.pi, 3.0])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_epanechnikov_support_edges(self, theta, r):
+        # a term counts iff its difference d has |d| < lam.  Each point lies
+        # within a factor 2 of theta or at theta = 0, so the difference the
+        # sum takes is exact and the tie is the long-double oracle's
+        lam = 0.75
+        spec = KernelSpec.wrapped_epanechnikov(lam=lam)
+        s = CircularSample.from_data([theta])
+        edges = np.array([theta + lam, theta - lam])
+        edges = edges[(edges >= -np.pi) & (edges < np.pi)]
+        inner = np.nextafter(edges, theta)
+        if theta == 0.0:
+            np.testing.assert_array_equal(edges, [lam, -lam])
+            np.testing.assert_array_equal(inner, [np.nextafter(lam, 0.0), -np.nextafter(lam, 0.0)])
+        got, ref = assert_epanechnikov_rows_match(spec, s, np.concatenate([edges, inner]), r)
+        k = len(edges)
+        if theta != -np.pi:
+            np.testing.assert_array_equal(got[:k], 0.0)
+            assert np.all(got[k:] != 0.0)
+            np.testing.assert_array_equal(kernel_value(spec, edges - theta, r), 0.0)
+        np.testing.assert_array_equal(got == 0.0, ref == 0.0)
+
+    def test_epanechnikov_window_keeps_the_rounded_ends(self):
+        # here x + lam rounds down and x - lam up, each onto an observation
+        # whose exact difference from x is inside the support, so the
+        # binary search must keep an entry equal to either end
+        x, lam = 0.8206640845696875, 0.2631582096201642
+        spec = KernelSpec.wrapped_epanechnikov(lam=lam)
+        s = CircularSample.from_data([x + lam, x - lam])
+        np.testing.assert_array_equal(s.angles, [x + lam, x - lam])
+        assert abs(x - s.angles[0]) < lam and abs(x - s.angles[1]) < lam
+        for r in (0, 1, 2):
+            assert_epanechnikov_rows_match(spec, s, [x], r)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.floats(-4.0, 0.0),
+        st.integers(1, 10_000),
+        st.floats(-np.pi, np.pi),
+        st.floats(0.0, 50.0),
+        st.integers(0, 2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_epanechnikov_rows_match_long_double(self, log_lam, n, mu, spread, r, seed):
+        rng = np.random.default_rng(seed)
+        s = CircularSample.from_data(rng.vonmises(mu, spread, n))
+        spec = KernelSpec.wrapped_epanechnikov(lam=np.pi * 10.0**log_lam)
+        points = np.concatenate([default_grid(24), self.SEAM, s.angles[:4] + 1e-4, [mu],
+                                 rng.uniform(-np.pi, np.pi, 8) + 2 * np.pi * rng.integers(-3, 4, 8)])
+        assert_epanechnikov_rows_match(spec, s, points, r)
+
     def test_empty_points(self):
         s = rng_sample(40)
-        for spec in (KernelSpec.vonmises(kappa=1e3), KernelSpec.cardioid(0.2)):
+        for spec in (KernelSpec.vonmises(kappa=1e3), KernelSpec.cardioid(0.2),
+                     KernelSpec.wrapped_epanechnikov(lam=0.3)):
             out = kde_values(s, spec, np.empty(0))
             assert out.shape == (0,)
 
@@ -287,6 +397,7 @@ class TestWindowedSums:
         kde(s, spec)
         kde_values(s, spec, [0.1, -3.0])
         kde(s, KernelSpec.wrapped_cauchy(0.7))
+        kde_deriv(s, KernelSpec.wrapped_epanechnikov(lam=0.4), 2)
         assert len(builds) == 1
         view = s._sorted
         assert view is s._sorted
@@ -429,6 +540,17 @@ class TestKdeDeriv:
     def test_rejects_order_zero(self):
         with pytest.raises(ValueError):
             kde_deriv(rng_sample(5), KernelSpec.vonmises(kappa=1.0), 0)
+
+    def test_epanechnikov_orders_outside_zero_to_two_raise(self):
+        s = rng_sample(5)
+        spec = KernelSpec.wrapped_epanechnikov(lam=1.0)
+        with pytest.raises(UnsupportedKernelError):
+            kde_values(s, spec, default_grid(8), 3)
+        with pytest.raises(UnsupportedKernelError):
+            kde_deriv(s, spec, 3)
+        for kernel in (spec, KernelSpec.vonmises(kappa=2.0), KernelSpec.vonmises(kappa=0.0)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                kde_values(s, kernel, default_grid(8), -1)
 
 
 class TestPsiHat:

@@ -76,8 +76,8 @@ class TestSelectorConfig:
         assert cfg.nstage == 2
         assert cfg.M_max == 1
         assert cfg.exact_inversion is False
-        assert cfg.ste_tol == 1e-8
-        lo, hi = cfg.ste_bracket
+        assert selectors._STE_TOL == 1e-8
+        lo, hi = selectors._STE_BRACKET
         assert lo == pytest.approx(1e-6)
         assert hi == pytest.approx(UNIFORM_BANDWIDTH - 1e-6)
 
@@ -114,12 +114,6 @@ class TestSelectorConfig:
             SelectorConfig(nstage=0)
         with pytest.raises(ValueError):
             SelectorConfig(M_max=0)
-        with pytest.raises(ValueError):
-            SelectorConfig(ste_bracket=(0.5, 0.1))
-        with pytest.raises(ValueError):
-            SelectorConfig(ste_bracket=(0.0, 0.1))
-        with pytest.raises(ValueError):
-            SelectorConfig(ste_tol=0.0)
 
 
 class TestBandwidthFormulas:
@@ -378,7 +372,7 @@ class TestSolveTheEquation:
             assert not sel.fallback_uniform
             residuals = [t.psi for t in sel.trace if t.label == "ste-residual"]
             assert len(residuals) == 1
-            assert residuals[0] < cfg.ste_tol
+            assert residuals[0] < selectors._STE_TOL
 
     def test_root_satisfies_public_fixed_point(self):
         """The traced root reproduces the plug-in bandwidth computed from
@@ -403,7 +397,7 @@ class TestSolveTheEquation:
         pilot_h = scale * root ** (5.0 / 7.0)
         pilot = concentration_from_bandwidth(VM, pilot_h)
         h_implied = optimal_h_amise(psi_hat(s, pilot, 4).value, s.n, VM, 0)
-        assert root == pytest.approx(h_implied, abs=10 * cfg.ste_tol)
+        assert root == pytest.approx(h_implied, abs=10 * selectors._STE_TOL)
 
     def test_trace_labels(self):
         sel = select_ste(vm_sample(0), SelectorConfig())
@@ -582,7 +576,8 @@ class TestSteGapValuesComputedOnce:
             return dpi_h(*args)
 
         monkeypatch.setattr(selectors, "_dpi_h", counted_dpi_h)
-        sel = select_ste(vm_sample(0), SelectorConfig(ste_bracket=(1e-3, 2e-3)))
+        monkeypatch.setattr(selectors, "_STE_BRACKET", (1e-3, 2e-3))
+        sel = select_ste(vm_sample(0), SelectorConfig())
         assert any(t.label.startswith("fallback:no-sign-change:") for t in sel.trace)
         assert brent_calls == []
         ste_pilots = pilots[: seen_before_dpi[0]]
