@@ -263,7 +263,7 @@ def cmd_modes(ingest, cfg, method):
     dg = DensityGrid(thetas=grid, values=deriv, deriv_order=1, sample=sample, kernel=spec)
 
     def deriv_at(theta):
-        return float(kde_values(sample, spec, np.array([theta]), deriv_order=1)[0])
+        return kde_values(sample, spec, theta, deriv_order=1)
 
     time_based = AngleFormat(ingest.format) in (AngleFormat.HHMM, AngleFormat.MINUTES)
     scale = float(np.max(np.abs(deriv)))

@@ -30,15 +30,16 @@ real FFT follows, and each order is divided by the kernel's Fourier
 transform.  Its cost is about 16 n kernel values plus one FFT, whatever the
 number of orders, so every call sums at least 1024 orders (rounded up to a
 power of two) and the extensions of one analysis become one pass.  The grid
-position x = Theta N / (2 pi) is formed from the wrapped angle itself,
-carried to twice double precision: shifting Theta into [0, 2 pi) first
-costs an ulp of 2 pi in the phase of angles just below 0, and that broke
-the moment tests' error bound on concentrated samples at n <= 2000.
+position x = Theta N / (2 pi) is formed from the angle itself, carried to
+twice double precision: shifting Theta into [0, 2 pi) first costs an ulp of
+2 pi in the phase of angles just below 0, and that broke the moment tests'
+error bound on concentrated samples at n <= 2000.
 
-_spectral_sum builds the cos/sin basis at evaluation points with
-_trig_parts: an exact rebase cos/sin(j0 x) and a table cos/sin(k x),
-k < 64, itself assembled from 8 fine and 8 coarse orders, so no order costs
-its own cos and sin.
+Series at points (_spectral_sum) run the same transform backwards, a
+type-2 NUFFT with the same kernel, positions and Fourier transform: the
+series' coefficients, divided by the kernel's transform, fill the half
+spectrum of a grid, one inverse real FFT gives the grid values, and each
+point sums its 16 taps.  An equispaced grid of points is just points.
 
 Every direct sum runs in one loop over the sample's memoized sorted view
 (CircularSample._sorted): the angles in ascending order with their cosines
@@ -85,27 +86,17 @@ __all__ = [
     "truth_on_ise_grid",
 ]
 
-# orders per rebase in _trig_parts and the width of its fine factor, and the
-# number of array elements a row block of a direct kernel sum, or a spreading
-# block of the NUFFT, may hold: 2^16 doubles (512 KB).  At n = 1e4 (2-core
-# Xeon VM, one thread) a 512-point kde took 20 ms against 22-30 ms at 2^14
-# and 20-26 ms at 2^18, and a large-n benchmark op 59-71 ms against 64-82 ms
-_ORDERS = 64
-_FINE = 8
+# the number of array elements a row block of a direct kernel sum, a
+# spreading block of the type-1 NUFFT or a gathering block of the type 2 may
+# hold: 2^16 doubles (512 KB).  At n = 1e4 (2-core Xeon VM, one thread) a
+# 512-point kde took 20 ms against 22-30 ms at 2^14 and 20-26 ms at 2^18,
+# and a large-n benchmark op 59-71 ms against 64-82 ms
 _BLOCK_ELEMS = 1 << 16
 
 # a von Mises density row keeps the terms within e^-T of its largest, T =
 # _TAIL_EXPONENT + ln n: the n terms dropped carry less than e^-40 (4e-18) of
 # the row sum together
 _TAIL_EXPONENT = 40.0
-
-# the row block of a _spectral_sum: 2^14 doubles (128 KB) in each of its
-# two basis buffers, twice that in its _trig_parts table.  That is not below
-# glibc's default mmap threshold (128 KB), but the first such block freed
-# raises malloc's dynamic threshold past it, so later calls reuse freed heap
-# memory instead of faulting fresh pages in; scripts/bench_replicate.py
-# counts the minor faults per replicate
-_FLAT_ELEMS = 1 << 14
 
 # grid_ise's default grid, on which simulations score their estimates
 _ISE_POINTS = 2048
@@ -123,53 +114,6 @@ _NUFFT_NODES = 128
 _INV_2PI_HI = 0.15915494309189535
 _INV_2PI_LO = -9.839338337591243e-18
 _SPLITTER = 134217729.0
-
-
-def _cos_sin(orders, angles):
-    """[cos k Theta; sin k Theta] for k in ``orders``, one row per order and
-    one column per angle: shape (2 len(orders), len(angles))."""
-    k = len(orders)
-    out = np.empty((2 * k, len(angles)))
-    args = np.multiply.outer(np.asarray(orders, dtype=float), angles)
-    np.cos(args, out=out[:k])
-    np.sin(args, out=out[k:])
-    return out
-
-
-def _trig_parts(angles, starts, width):
-    """The two factors of the cos/sin basis of orders j0 + k, for j0 in
-    ``starts`` and k < ``width``, laid out orders-major (one column per
-    angle): the exact rebase [cos j0 Theta; sin j0 Theta], shape
-    (2 len(starts), len(angles)), and the table [cos k Theta; sin k Theta],
-    shape (2 width, len(angles)).  Angle addition combines them:
-
-        cos (j0 + k) Theta = cos j0 Theta cos k Theta - sin j0 Theta sin k Theta,
-        sin (j0 + k) Theta = sin j0 Theta cos k Theta + cos j0 Theta sin k Theta.
-
-    The table is assembled the same way from k = 8q + r, a fine factor
-    cos/sin(r Theta), r < 8, and a coarse factor cos/sin(8q Theta), so a
-    64-order table costs 32 cos/sin evaluations per angle instead of 128;
-    the assembly runs along the contiguous angle axis.  Every factor is a
-    single cos or sin evaluation, so the error does not grow with the order
-    the way a power recurrence's would: a basis entry carries two rounded
-    angle additions on top of single evaluations.
-    """
-    m = len(angles)
-    rebase = _cos_sin(starts, angles)
-    nr = min(_FINE, width)
-    nq = -(-width // _FINE)
-    fine = _cos_sin(np.arange(nr), angles)
-    coarse = _cos_sin(_FINE * np.arange(nq), angles)
-    fc, fs = fine[None, :nr], fine[None, nr:]
-    cc, cs = coarse[:nq, None], coarse[nq:, None]
-    table = np.empty((2, nq, nr, m))
-    tmp = np.multiply(cs, fs)
-    np.multiply(cc, fc, out=table[0])
-    table[0] -= tmp
-    np.multiply(cc, fs, out=tmp)
-    np.multiply(cs, fc, out=table[1])
-    table[1] += tmp
-    return rebase, table.reshape(2, nq * nr, m)[:, :width].reshape(2 * width, m)
 
 
 def _nufft_size(orders):
@@ -231,40 +175,51 @@ def _es_transform(orders):
     return out
 
 
+def _taps(angles, size):
+    """The grid index of each angle's first tap, mod ``size``, and the
+    kernel values phi(2 (m - x)/w) at its w taps m, with a last axis of
+    length w, on the grid of ``size`` points, where x = Theta size / (2 pi)
+    is the angle's grid position.  ``size`` is a power of two, or an integer
+    array of them that broadcasts against ``angles``.
+
+    x carries the rounding error of its product (Dekker's exact product,
+    plus the low half of 1/(2 pi)): an error d in x is a phase error
+    2 pi j d / size at order j.
+    """
+    half = _NUFFT_TAPS // 2
+    # size is a power of two, so both halves of the scale are exact
+    s_hi, s_lo = size * _INV_2PI_HI, size * _INV_2PI_LO
+    b_hi, b_lo = _split(s_hi)
+    # x = p + e: p = fl(a s_hi), e its rounding error plus a s_lo
+    p = angles * s_hi
+    a_hi, a_lo = _split(angles)
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    e += angles * s_lo
+    first = np.ceil(p - half)
+    # first tap's offset from x; e can move it past the kernel's support by
+    # about 1e-12, where the kernel is e^-beta of its peak
+    d = (first - p) - e
+    np.clip(d, -half, 1 - half, out=d)
+    z = np.add.outer(d / half, np.arange(_NUFFT_TAPS) / half)
+    return first.astype(np.intp) & (size - 1), _es_kernel(z)
+
+
 def _nufft_moments(angles, orders):
     """(C, S) at orders 1..``orders`` by a type-1 NUFFT.
 
     Each angle adds phi(2 (m - x)/w) to the w grid points m nearest to its
-    grid position x = Theta N / (2 pi), indices taken mod N, so that by
-    Poisson summation the grid's FFT at order j is psi_hat_j sum_i
-    e^{-i j Theta_i} up to the kernel's aliasing error.  The angles are
-    spread in blocks of about _BLOCK_ELEMS taps.  x carries the rounding
-    error of its product (Dekker's exact product, plus the low half of
-    1/(2 pi)): an error d in x is a phase error 2 pi j d / N at order j.
+    grid position x (_taps), indices taken mod N, so that by Poisson
+    summation the grid's FFT at order j is psi_hat_j sum_i e^{-i j Theta_i}
+    up to the kernel's aliasing error.  The angles are spread in blocks of
+    about _BLOCK_ELEMS taps.
     """
     size = _nufft_size(orders)
-    half = _NUFFT_TAPS // 2
     taps = np.arange(_NUFFT_TAPS)
-    # size is a power of two, so both halves of the scale are exact
-    s_hi, s_lo = size * _INV_2PI_HI, size * _INV_2PI_LO
-    b_hi, b_lo = _split(s_hi)
     rows = _BLOCK_ELEMS // _NUFFT_TAPS
     grid = np.zeros(size + _NUFFT_TAPS)
     for lo in range(0, len(angles), rows):
-        a = angles[lo : lo + rows]
-        # x = p + e: p = fl(a s_hi), e its rounding error plus a s_lo
-        p = a * s_hi
-        a_hi, a_lo = _split(a)
-        e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-        e += a * s_lo
-        first = np.ceil(p - half)
-        # first tap's offset from x; e can move it past the kernel's support
-        # by about 1e-12, where the kernel is e^-beta of its peak
-        d = (first - p) - e
-        np.clip(d, -half, 1 - half, out=d)
-        z = np.add.outer(d / half, taps / half)
-        _es_kernel(z)
-        idx = np.add.outer(first.astype(np.intp) & (size - 1), taps)
+        first, z = _taps(angles[lo : lo + rows], size)
+        idx = np.add.outer(first, taps)
         grid += np.bincount(idx.ravel(), weights=z.ravel(), minlength=grid.size)
     grid[:_NUFFT_TAPS] += grid[size:]
     spec = np.fft.rfft(grid[:size])[1 : orders + 1]
@@ -530,78 +485,91 @@ def _spectral_sum(sample, weights, deriv_order, thetas):
 
     ``weights`` is one kernel's (J,) derivative_weights, giving one value
     per angle, or a zero-padded (G, J) matrix with one kernel per row,
-    giving a (len(thetas), G) array.  The cos/sin basis at the angles,
-    scaled by the moments, comes from _trig_parts in blocks of angles and
-    meets the weights as they are in one product per block of angles and
-    _ORDERS orders; no (J, G) array is built.
+    giving a (len(thetas), G) array.  The series is a type-2 NUFFT, the
+    transpose of the moments' type 1.  A row whose series ends at order J_g
+    puts w_j i^r (C_j - i S_j) / psi_hat_j on the half spectrum of the grid
+    of _nufft_size(J_g) points; one inverse real FFT per group of rows that
+    share a grid size gives their grid values; each angle then sums the
+    values at its _taps, weighted by the kernel, in blocks of points.  So a
+    row's value at an angle depends on nothing else asked for, and an angle
+    that is not finite gives NaN.
     """
-    J = weights.shape[-1]
+    rows = np.atleast_2d(weights)
+    G, J = rows.shape
     C, S = sample.trig_moments(J)
-    base = 1.0 / (2.0 * np.pi) if deriv_order == 0 else 0.0
-    out = np.full((len(thetas),) + weights.shape[:-1], base)
-    if J == 0:  # uniform kernels only
-        return out
-    # sum_i cos(j (x - Theta_i) + r pi/2) = cos(j x) u_j + sin(j x) v_j: the
+    # sum_i cos(j (x - Theta_i) + r pi/2) = Re e^{ijx} (u_j - i v_j): the
     # phase of the differentiated series is a quarter turn, which swaps and
     # negates the moments exactly
     u, v = ((C, S), (S, -C), (-C, -S), (-S, C))[deriv_order % 4]
-    starts = np.arange(1, J + 1, _ORDERS)
-    nb, width = len(starts), min(_ORDERS, J)
-    rows = max(1, min(len(thetas), _FLAT_ELEMS // width))
-    buf = np.empty((2, width * rows))
-    for lo in range(0, len(thetas), rows):
-        rebase, table = _trig_parts(thetas[lo : lo + rows], starts, width)
-        m = table.shape[1]
-        basis, tmp = buf[:, : width * m].reshape(2, width, m)
-        tc, ts = table[:width], table[width:]
-        acc = 0.0
-        # one rebase block of orders j0 .. j0 + k - 1 at a time, so the
-        # temporaries do not grow with the number of orders
-        for b, j0 in enumerate(starts):
-            k = min(width, J + 1 - j0)
-            rc, rs = rebase[b], rebase[nb + b]
-            ub, vb = u[j0 - 1 : j0 - 1 + k, None], v[j0 - 1 : j0 - 1 + k, None]
-            bk, tk = basis[:k], tmp[:k]
-            # cos(j x) u_j + sin(j x) v_j, with the angle addition of _trig_parts
-            np.multiply(rc, tc[:k], out=bk)
-            np.multiply(rs, ts[:k], out=tk)
-            bk -= tk
-            bk *= ub
-            np.multiply(rs, tc[:k], out=tk)
-            tk *= vb
-            bk += tk
-            np.multiply(rc, ts[:k], out=tk)
-            tk *= vb
-            bk += tk
-            acc += bk.T @ weights[..., j0 - 1 : j0 - 1 + k].T
-        out[lo : lo + m] += acc / (np.pi * sample.n)
-    return out
+    coef = (u - 1j * v) / (2.0 * np.pi * sample.n)
+    # each row's series ends at its last nonzero weight; the leading column
+    # ends an all-zero row at 0
+    nonzero = np.hstack([np.ones((G, 1), dtype=bool), rows != 0.0])
+    ends = J - np.argmax(nonzero[:, ::-1], axis=1)
+    sizes = np.array([_nufft_size(int(e)) if e else 0 for e in ends])
+    grids = []
+    for size in sorted(set(sizes[ends > 0].tolist())):
+        group = np.flatnonzero(sizes == size)
+        k = int(ends[group].max())
+        # orders 0..k of the half spectrum, which irfft pads with zeros;
+        # psi_hat of this grid is keyed by the most orders it holds
+        spec = np.zeros((len(group), k + 1), dtype=complex)
+        np.multiply(rows[group, :k], coef[:k] * (size / _es_transform(size // 4 - 1)[:k]), out=spec[:, 1:])
+        grids.append((size, group, np.fft.irfft(spec, size, axis=1)))
+    # _taps places angles below 1e6 exactly, on grids of up to 2^30 points;
+    # farther ones are wrapped first
+    finite = np.isfinite(thetas)
+    x = np.where(finite, thetas, 0.0)
+    x = np.where(np.abs(x) < 1e6, x, wrap_angle(x))
+    out = np.zeros((G, len(x)))
+    if grids:
+        scale = np.array([size for size, _, _ in grids])[:, None]
+        taps = np.arange(_NUFFT_TAPS)
+        # a block of points spreads at most _BLOCK_ELEMS taps over the grids
+        # and gathers about as many values from each
+        widest = max([len(grids)] + [len(group) for _, group, _ in grids])
+        step = max(1, _BLOCK_ELEMS // (_NUFFT_TAPS * widest))
+        for lo in range(0, len(x), step):
+            first, phi = _taps(x[None, lo : lo + step], scale)
+            idx = np.add(first[..., None], taps) & (scale[..., None] - 1)
+            for c, (_, group, grid) in enumerate(grids):
+                vals = np.take(grid, idx[c], axis=1)
+                out[group, lo : lo + step] = np.einsum("gmt,mt->gm", vals, phi[c])
+    if deriv_order == 0:
+        out += 1.0 / (2.0 * np.pi)
+    out[:, ~finite] = np.nan
+    return out[0] if weights.ndim == 1 else out.T
 
 
 def kde_values(sample, kernel, points, deriv_order=0):
-    """Raw estimator values at arbitrary angles (no ordering required).
+    """Raw estimator values at arbitrary angles (no ordering required), in
+    the shape of ``points``: a float for a scalar, as kernel_value gives.
 
     The density (deriv_order 0) of a closed-form family and the wrapped
     Epanechnikov at orders 1 and 2 (UnsupportedKernelError beyond) are
     direct sums over windows of the sorted sample (_direct_sum), which keep
     their relative accuracy in the tails; every other case sums the
     kernel's cosine series on the sample's moments, accurate to about 1e-12
-    of the peak.  The uniform kernel (nu = 0) gives its constant.
+    of the peak.  The uniform kernel (nu = 0) gives its constant; any other
+    kernel gives NaN at a point that is not finite.
     """
     points = np.asarray(points, dtype=float)
     if sample.n < 1:
         raise ValueError("sample must contain at least one angle")
     if deriv_order < 0:
         raise ValueError(f"deriv_order must be nonnegative, got {deriv_order}")
-    if kernel.nu == 0.0:
-        return np.full(len(points), 1.0 / (2.0 * np.pi) if deriv_order == 0 else 0.0)
+    flat = points.ravel()
     # the wrapped Epanechnikov series decays too slowly past the kernel's
     # kinks; its piecewise polynomial is exact and cheap at orders 0 to 2
     epanechnikov = kernel.family == KernelFamily.WRAPPEDEPANECHNIKOV
-    if epanechnikov or (deriv_order == 0 and kernel.family in _HALF_ANGLE_FAMILIES):
-        return _direct_sum(sample, kernel, deriv_order, points)
-    weights = derivative_weights(kernel, deriv_order)
-    return _spectral_sum(sample, weights, deriv_order, points)
+    if kernel.nu == 0.0:
+        out = np.full(flat.size, 1.0 / (2.0 * np.pi) if deriv_order == 0 else 0.0)
+    elif epanechnikov or (deriv_order == 0 and kernel.family in _HALF_ANGLE_FAMILIES):
+        out = _direct_sum(sample, kernel, deriv_order, flat)
+    else:
+        weights = derivative_weights(kernel, deriv_order)
+        out = _spectral_sum(sample, weights, deriv_order, flat)
+    return float(out[0]) if points.ndim == 0 else out.reshape(points.shape)
 
 
 def _kde_rows(sample, kernels, points, weights=None):
@@ -689,7 +657,7 @@ def ise(est, truth):
         sample, kernel = est.sample, est.kernel
 
         def fhat(t):
-            return float(kde_values(sample, kernel, np.atleast_1d(t))[0])
+            return kde_values(sample, kernel, t)
 
     else:
         interp = _periodic_interp(est.thetas, est.values)

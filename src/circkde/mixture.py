@@ -110,6 +110,7 @@ def _log_i0(kappa):
 def _em_once(x, M, init_means, init_kappa, tol=1e-8):
     """One EM run on centered data.  Returns (params..., degenerate)."""
     n = len(x)
+    sin_x, cos_x = np.sin(x), np.cos(x)
     mus = np.array(init_means, dtype=float)
     kappa = float(init_kappa)
     weights = np.full(M, 1.0 / M)
@@ -138,8 +139,8 @@ def _em_once(x, M, init_means, init_kappa, tol=1e-8):
         if np.min(col) < _WEIGHT_FLOOR * n:
             return None, None, None, ll, iterations, False, path, True
         weights = col / n
-        sin_m = gamma.T @ np.sin(x)
-        cos_m = gamma.T @ np.cos(x)
+        sin_m = gamma.T @ sin_x
+        cos_m = gamma.T @ cos_x
         mus = np.arctan2(sin_m, cos_m)
         # the resultant of each responsibility-weighted component is already
         # aligned with its updated mean, so the shared-concentration target

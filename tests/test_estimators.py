@@ -19,7 +19,9 @@ from scipy.special import ive
 
 from circkde.estimators import (
     CircularSample,
+    _direct_sum,
     _kde_rows,
+    _nufft_size,
     _spectral_sum,
     DensityGrid,
     FunctionalEstimate,
@@ -34,7 +36,7 @@ from circkde.estimators import (
     truth_on_ise_grid,
 )
 from circkde.errors import UnsupportedKernelError
-from circkde.kernels import KernelFamily, KernelSpec, kernel_value
+from circkde.kernels import KernelFamily, KernelSpec, derivative_weights, kernel_value
 from circkde.selectors import SelectorConfig, select_dpi
 from circkde.simulate import builtin_models
 
@@ -779,18 +781,67 @@ def zoo_sample(name, n, seed):
     return ZOO_MODELS[name].sampler(rng, n)
 
 
-class TestSpectralSumBlocks:
-    """_spectral_sum against its cosine series summed term by term, with
-    series that end inside or on the edge of a block of orders and more
-    angles than one row block holds."""
+class TestKdeValuesShapes:
+    """kde_values returns the points' shape, a float for a scalar point, and
+    NaN at points that are not finite; the uniform density stays its
+    constant everywhere."""
 
-    @pytest.mark.parametrize("J", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("r", [0, 1])
+    @pytest.mark.parametrize("kernel", list(FAMILY_KERNELS.values()), ids=list(FAMILY_KERNELS))
+    def test_scalar_nd_and_empty_points(self, kernel, r):
+        s = rng_sample(40, seed=8)
+        points = np.array([[-3.0, 0.2, 1.5], [np.nextafter(np.pi, 0.0), -np.pi, 7.0]])
+        flat = kde_values(s, kernel, points.ravel(), r)
+        grid = kde_values(s, kernel, points, r)
+        assert grid.shape == (2, 3)
+        np.testing.assert_array_equal(grid.ravel(), flat)
+        value = kde_values(s, kernel, 0.2, r)
+        assert type(value) is float
+        assert value == flat[1]
+        assert kde_values(s, kernel, np.float64(0.2), r) == value
+        assert kde_values(s, kernel, np.empty(0), r).shape == (0,)
+        assert kde_values(s, kernel, np.empty((0, 3)), r).shape == (0, 3)
+
+    @pytest.mark.parametrize("r", [0, 1])
+    @pytest.mark.parametrize("kernel", list(FAMILY_KERNELS.values()), ids=list(FAMILY_KERNELS))
+    def test_points_that_are_not_finite(self, kernel, r):
+        s = rng_sample(40, seed=8)
+        points = np.array([0.2, np.nan, np.inf, -np.inf, -0.5])
+        with np.errstate(invalid="ignore"):
+            got = kde_values(s, kernel, points, r)
+            ok = kde_values(s, kernel, points[[0, 4]], r)
+        np.testing.assert_array_equal(got[[0, 4]], ok)
+        if kernel.nu == 0.0:
+            assert np.all(got == (1.0 / (2.0 * np.pi) if r == 0 else 0.0))
+        else:
+            assert np.all(np.isnan(got[1:4]))
+
+
+def longdouble_series(moments, n, weights, r, points):
+    """The differentiated cosine series at the points, from long-double
+    moments (C, S) of orders 1 and up, phases summed in long double."""
+    J = len(weights)
+    j = np.arange(1, J + 1, dtype=np.longdouble)
+    C, S = moments[0][:J], moments[1][:J]
+    phase = np.multiply.outer(np.asarray(points, np.longdouble), j) + r * np.pi / np.longdouble(2)
+    series = (np.cos(phase) * C + np.sin(phase) * S) @ np.asarray(weights, np.longdouble)
+    return (series / (np.pi * n) + (1 / (2 * np.pi) if r == 0 else 0)).astype(float)
+
+
+class TestSpectralSumBlocks:
+    """_spectral_sum, a type-2 NUFFT, against its cosine series summed term
+    by term, with series that end on either side of the edge of a grid size
+    (J = N/4 - 1 and N/4 for N = 1024), well inside one (678, the LCV
+    table's longest) and past the moments' first 1024 orders, and more
+    angles than one block of points holds."""
+
+    @pytest.mark.parametrize("J", [1, 63, 64, 65, 200, 255, 256, 678, 1025])
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_matches_the_literal_series(self, J, r):
         s = rng_sample(50, seed=J)
         rng = np.random.default_rng(r)
         weights = rng.standard_normal((3, J))
-        thetas = rng.uniform(-np.pi, np.pi, 300)
+        thetas = rng.uniform(-np.pi, np.pi, 2000)
         j = np.arange(1, J + 1)
         C, S = s.trig_moments(J)
         phase = np.multiply.outer(thetas, j) + r * np.pi / 2
@@ -799,6 +850,94 @@ class TestSpectralSumBlocks:
         tol = 1e-12 * np.abs(expect).max()
         np.testing.assert_allclose(_spectral_sum(s, weights, r, thetas), expect, rtol=0, atol=tol)
         np.testing.assert_allclose(_spectral_sum(s, weights[1], r, thetas), expect[:, 1], rtol=0, atol=tol)
+
+    def test_grid_sizes_of_the_edge_orders(self):
+        assert [_nufft_size(J) for J in (1, 255, 256, 678, 1025)] == [8, 1024, 2048, 4096, 8192]
+
+    @pytest.mark.parametrize("kind", ["uniform", "cluster0", "cluster_pi"])
+    @pytest.mark.parametrize("n", [1, 2, 50, 2000])
+    def test_matches_long_double_series(self, kind, n):
+        # von Mises series of 28 to 1257 orders, past the LCV table's 678,
+        # at the seam, on nodes of every grid, at the sample and unwrapped:
+        # within 1e-13 of the series' scale sum_j |w_j| / pi (K(0) - 1/(2 pi)
+        # at r = 0), far below the 1e-12 K(0) floor of the LCV rescoring
+        rng = np.random.default_rng(np.random.SeedSequence([n, len(kind)]))
+        if kind == "uniform":
+            s = CircularSample.from_data(rng.uniform(-np.pi, np.pi, n))
+        else:
+            s = CircularSample.from_data(rng.vonmises(0.0 if kind == "cluster0" else np.pi, 1000.0, n))
+        seam = [-np.pi, np.nextafter(-np.pi, 0.0), np.nextafter(np.pi, 0.0)]
+        nodes = -np.pi + 2 * np.pi * np.arange(0, 4096, 97) / 4096
+        points = np.concatenate([seam, nodes, s.angles[:20], rng.uniform(-20.0, 20.0, 10)])
+        args = np.multiply.outer(np.arange(1, 1300, dtype=np.longdouble), s.angles.astype(np.longdouble))
+        moments = np.cos(args).sum(axis=1), np.sin(args).sum(axis=1)
+        for kappa in (10.0, 300.0, 3e4):
+            for r in (0, 1, 2):
+                weights = derivative_weights(KernelSpec.vonmises(kappa=kappa), r)
+                ref = longdouble_series(moments, n, weights, r, points)
+                got = _spectral_sum(s, weights, r, points)
+                scale = np.abs(weights).sum() / np.pi
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * scale)
+
+    def test_values_do_not_depend_on_the_other_rows_or_points(self):
+        # a row's grid depends on its own series length only, and the taps
+        # of a point on nothing else: the LCV h* row scored alone equals
+        # the same row in the table, bit for bit
+        from circkde.selectors import _lcv_table
+
+        weights = _lcv_table("vonmises", False)[2]
+        s = rng_sample(3000, seed=4)
+        points = np.random.default_rng(4).uniform(-4.0, 4.0, 5000)
+        table = _spectral_sum(s, weights, 0, points)
+        for g in (0, 10, 40, 62, 63):
+            assert np.array_equal(_spectral_sum(s, weights[g], 0, points), table[:, g])
+        assert np.array_equal(_spectral_sum(s, weights, 0, points[::7]), table[::7])
+
+
+SPECTRAL_FAMILIES = st.one_of(
+    st.floats(-2.0, 4.5).map(lambda e: KernelSpec.vonmises(kappa=10.0**e)),
+    st.floats(0.01, 0.97).map(KernelSpec.wrapped_cauchy),
+    st.floats(0.01, 0.49).map(KernelSpec.cardioid),
+)
+
+
+def truncated_tail(spec, J):
+    """sum_{j > J} |w_j| of the kernel's untruncated density series."""
+    if spec.family == KernelFamily.CARDIOID:
+        return 0.0
+    if spec.family == KernelFamily.WRAPPEDCAUCHY:
+        return spec.nu ** (J + 1) / (1.0 - spec.nu)
+    return float(np.sum(ive(np.arange(J + 1, J + 5000), spec.kappa)) / ive(0, spec.kappa))
+
+
+class TestSpectralEqualsDirect:
+    """The cosine series on the moments (the type-2 NUFFT) against the
+    closed-form densities summed directly over the sorted view, for the
+    families that have both."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        SPECTRAL_FAMILIES,
+        st.integers(1, 2000),
+        st.floats(-np.pi, np.pi),
+        st.floats(0.0, 100.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_spectral_sums_equal_direct_sums(self, spec, n, mu, spread, seed):
+        # within 1e-13 K(0) beyond what derivative_weights' tail rule drops
+        # (up to 2e-12 K(0) at kappa near 6500, the same at the basis code
+        # before the type 2)
+        rng = np.random.default_rng(seed)
+        s = CircularSample.from_data(rng.vonmises(mu, spread, n))
+        weights = derivative_weights(spec, 0)
+        N = _nufft_size(len(weights))
+        seam = [-np.pi, np.nextafter(-np.pi, 0.0), np.nextafter(np.pi, 0.0), np.pi]
+        nodes = -np.pi + 2 * np.pi * rng.integers(0, N, 16) / N
+        points = np.concatenate([seam, nodes, s.angles[:8], [mu]])
+        got = _spectral_sum(s, weights, 0, points)
+        direct = _direct_sum(s, spec, 0, points)
+        bound = 1e-13 * kernel_value(spec, 0.0) + truncated_tail(spec, len(weights)) / np.pi
+        np.testing.assert_allclose(got, direct, rtol=0, atol=bound)
 
 
 class TestClosedFormParsevalRows:

@@ -1085,7 +1085,9 @@ def large_vm_mix3_angles():
 class TestLargeSample:
     """rt, dpi and ste at n = 1e5, where the moments come from the NUFFT,
     pinned to the values of the block-rebased engine alone (the code before
-    the NUFFT).  Each case times one selector on a fresh sample."""
+    the NUFFT), and lcv, whose leave-one-out table is a type-2 NUFFT,
+    pinned to the cos/sin basis at the points (the code before the type 2).
+    Each case times one selector on a fresh sample."""
 
     @pytest.mark.parametrize(
         "name, nu",
@@ -1093,6 +1095,7 @@ class TestLargeSample:
             ("rt", 0.5547001545801693),
             ("dpi", 0.9987991666692918),
             ("ste", 0.9990562575228038),
+            ("lcv", 0.99913655705059),
         ],
     )
     def test_pinned_nu(self, name, nu):
