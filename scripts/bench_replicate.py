@@ -20,13 +20,19 @@ milliseconds of one n = 100 VM2 replicate (the same selectors) and of
 ``select_lcv`` on a fresh n = 1000 VM-MIX2 sample, over WE_OPS ops per
 round.
 
+For each n in STE_SIZES it gives the median milliseconds of ``select_ste``
+(default config) on a fresh VM-MIX3 sample with fresh caches (the pilot
+series and Bessel-ratio caches cleared before each call) and the mean
+number of exact ``psi_hat`` calls it makes.
+
 Then both trees run on every ``mc-zoo`` pool sample (five zoo models,
 replicate seeds 0-255, n = 100, drawn as run_monte_carlo draws them),
 every ``large-n`` pool sample (128 samples, n = 10 000, drawn by
 ``bench/workloads.py``) and a ``we`` pool: the first WE_POOL replicate
 seeds of each zoo model at n = 100, selected with the wrapped
 Epanechnikov.  The report counts the rt, dpi and ste selections (nu, h
-and trace) that differ between the trees, and gives the worst relative
+and trace) that differ between the trees, the mean number of exact
+``psi_hat`` calls per ``select_ste`` on each pool, and gives the worst relative
 deviation of every selector's nu (rt, dpi and ste on every pool, lcv and
 gs on the mc-zoo and we pools), of their realized ISE, and of ``kde`` and
 ``kde_deriv`` (r = 1) on the 512-point grid at the DPI concentration of
@@ -44,6 +50,8 @@ from bench_lcv import cpu_model, rel, run_child
 
 # n -> (warm-up ops, timed ops) per round
 SIZES = {100: (25, 200), 1000: (5, 30), 10000: (1, 5)}
+# n -> select_ste calls per round
+STE_SIZES = {100: 200, 1000: 50, 10000: 20, 100000: 5}
 SELECTORS = ("rt", "dpi", "ste", "lcv")
 LAYERS = SELECTORS + ("gs", "realized_ise")
 # wrapped Epanechnikov ops per round (replicates, then LCV calls) and pool
@@ -117,6 +125,43 @@ out["we"] = times
 print(json.dumps(out))
 """
 
+_STE = r"""
+import json, sys, time
+import numpy as np
+from circkde import kernels, special
+from circkde import selectors as sel
+from circkde.estimators import CircularSample
+from circkde.simulate import builtin_models
+
+args = json.loads(sys.argv[1])
+calls = [0]
+psi_hat = sel.psi_hat
+
+
+def counted_psi_hat(*a, **k):
+    calls[0] += 1
+    return psi_hat(*a, **k)
+
+
+sel.psi_hat = counted_psi_hat
+model = {m.name: m for m in builtin_models()}["VM-MIX3"]
+cfg = sel.SelectorConfig()
+out = {}
+for n, count in args["ste_sizes"].items():
+    rows = []
+    for k in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence([k, 2]))
+        sample = CircularSample.from_data(model.sampler(rng, int(n)).angles)
+        kernels._series_weights.cache_clear()
+        special._ratio_prefix.cache_clear()
+        calls[0] = 0
+        t0 = time.perf_counter()
+        sel.select_ste(sample, cfg)
+        rows.append({"s": time.perf_counter() - t0, "psi_hat_calls": calls[0]})
+    out[n] = rows
+print(json.dumps(out))
+"""
+
 _POOLS = r"""
 import json, sys
 import numpy as np
@@ -129,6 +174,27 @@ args = json.loads(sys.argv[1])
 sys.path.insert(0, args["bench"])
 import workloads
 
+calls = [0]
+psi_hat = sel.psi_hat
+
+
+def counted_psi_hat(*a, **k):
+    calls[0] += 1
+    return psi_hat(*a, **k)
+
+
+sel.psi_hat = counted_psi_hat
+ste_calls = {"mc-zoo": [], "large-n": [], "we": []}
+
+
+def pick(pool, m, sample, cfg):
+    calls[0] = 0
+    s = sel.SELECTORS[m](sample, cfg)
+    if m == "ste":
+        ste_calls[pool].append(calls[0])
+    return s
+
+
 out = {"mc-zoo": [], "large-n": [], "we": []}
 pools = (("mc-zoo", sel.SelectorConfig(), workloads.MC_POOL),
          ("we", sel.SelectorConfig(kernel_family="wrappedepanechnikov"), args["we_pool"]))
@@ -137,7 +203,7 @@ for pool, cfg, size in pools:
         for seed in range(size):
             rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
             sample = model.sampler(rng, workloads.MC_N)
-            picks = {m: sel.SELECTORS[m](sample, cfg) for m in args["selectors"]}
+            picks = {m: pick(pool, m, sample, cfg) for m in args["selectors"]}
             picks["gs"] = sel.select_gold(sample, model.density, cfg)
             out[pool].append({
                 m: {"json": s.to_json(), "nu": s.nu,
@@ -147,12 +213,13 @@ for pool, cfg, size in pools:
 cfg = sel.SelectorConfig()
 for k in range(workloads.LARGE_POOL):
     sample = CircularSample.from_data(workloads.large_angles(k))
-    picks = {m: sel.SELECTORS[m](sample, cfg) for m in ("rt", "dpi", "ste")}
+    picks = {m: pick("large-n", m, sample, cfg) for m in ("rt", "dpi", "ste")}
     spec = KernelSpec.from_nu(cfg.kernel_family, picks["dpi"].nu)
     row = {m: {"json": s.to_json(), "nu": s.nu} for m, s in picks.items()}
     row["kde"] = kde(sample, spec).values.tolist()
     row["kde_deriv"] = kde_deriv(sample, spec, 1).values.tolist()
     out["large-n"].append(row)
+out["ste_psi_hat_calls"] = {pool: sum(c) / len(c) for pool, c in ste_calls.items()}
 print(json.dumps(out))
 """
 
@@ -164,6 +231,23 @@ def _timing(src):
         "we_ops": WE_OPS,
     }
     return run_child(src, _TIMING, args)
+
+
+def _ste(src):
+    return run_child(src, _STE, {"ste_sizes": {str(n): v for n, v in STE_SIZES.items()}})
+
+
+def _ste_summary(runs):
+    """Median ms and mean exact psi_hat calls of select_ste, per n."""
+    out = {}
+    for n in map(str, STE_SIZES):
+        rows = [row for run in runs for row in run[n]]
+        out[n] = {
+            "select_ste_ms": 1e3 * statistics.median(r["s"] for r in rows),
+            "psi_hat_calls": statistics.fmean(r["psi_hat_calls"] for r in rows),
+            "calls": len(rows),
+        }
+    return out
 
 
 def _summary(runs):
@@ -217,13 +301,17 @@ def main(argv=None):
     opts = ap.parse_args(argv)
 
     runs = {"before": [], "after": []}
+    ste_runs = {"before": [], "after": []}
     for _ in range(opts.rounds):
-        runs["before"].append(_timing(opts.before))
-        runs["after"].append(_timing(opts.after))
+        for side, src in (("before", opts.before), ("after", opts.after)):
+            runs[side].append(_timing(src))
+            ste_runs[side].append(_ste(src))
     pool_args = {"selectors": list(SELECTORS), "bench": os.path.join(ROOT, "bench"), "we_pool": WE_POOL}
+    pools_before = run_child(opts.before, _POOLS, pool_args)
     pools_after = run_child(opts.after, _POOLS, pool_args)
-    differ, worst = _compare(run_child(opts.before, _POOLS, pool_args), pools_after)
+    differ, worst = _compare(pools_before, pools_after)
     before, after = _summary(runs["before"]), _summary(runs["after"])
+    ste_before, ste_after = _ste_summary(ste_runs["before"]), _ste_summary(ste_runs["after"])
     report = {
         "what": (
             "one mc-zoo replicate (run_monte_carlo: rt, dpi, ste, lcv and the gold "
@@ -244,7 +332,22 @@ def main(argv=None):
         "before": before,
         "after": after,
         "speedup_op": {n: before[n]["op_ms"] / after[n]["op_ms"] for n in map(str, SIZES)},
-        "pool_samples": {pool: len(rows) for pool, rows in pools_after.items()},
+        "select_ste": {
+            "what": (
+                "select_ste on a fresh VM-MIX3 sample with the pilot series and "
+                "Bessel-ratio caches cleared: median ms and mean exact psi_hat calls"
+            ),
+            "before": ste_before,
+            "after": ste_after,
+            "speedup": {
+                n: ste_before[n]["select_ste_ms"] / ste_after[n]["select_ste_ms"] for n in map(str, STE_SIZES)
+            },
+        },
+        "ste_psi_hat_calls_per_pool_call": {
+            "before": pools_before["ste_psi_hat_calls"],
+            "after": pools_after["ste_psi_hat_calls"],
+        },
+        "pool_samples": {pool: len(pools_after[pool]) for pool in ("mc-zoo", "large-n", "we")},
         "selections_that_differ": differ,
         "worst_rel_deviation": worst,
         "date": time.strftime("%Y-%m-%d"),

@@ -284,8 +284,17 @@ def select_dpi(sample, cfg):
 
 
 def _ste_gap(sample, cfg, trace):
-    """The fixed-point gap g(h), whose pilot bandwidth is gamma(h); None
-    when the pilot chain that builds gamma degenerates."""
+    """The fixed-point gap g(h) = h - X(h) and the plug-in bandwidth X(h)
+    that it compares with h, whose pilot bandwidth is gamma(h); None when
+    the pilot chain that builds gamma degenerates.
+
+    X(h) is None where the pilot is uniform or the functional has the
+    wrong sign, and g is then strongly negative.  Each X(h) costs a
+    psi_hat with a fresh pilot kernel and is computed once per h.  X is
+    nondecreasing in h: gamma grows with h, so the pilot concentration
+    falls, and every term of (-1)^r psi_hat then shrinks (I_j / I_0 grows
+    with kappa, Amos 1974; rho^(j^2) with rho).
+    """
     r = cfg.r
     n = sample.n
     report = select_aic(sample, cfg.M_max, seed=cfg.seed)
@@ -312,48 +321,56 @@ def _ste_gap(sample, cfg, trace):
         return None
     gamma_scale = inner ** (2.0 / (2 * r + 7))
     gamma_exp = (2 * r + 5) / (2 * r + 7)
+    known = {}
+
+    def plugin(h):
+        if h not in known:
+            x = None
+            pilot = _pilot_spec(cfg, gamma_scale * h**gamma_exp)
+            # a uniform pilot kills the functional and the implied
+            # bandwidth explodes
+            if not is_uniform_fallback(pilot):
+                denom = n * (-1.0) ** r * psi_hat(sample, pilot, 2 * r + 4).value
+                if not denom <= 0.0:
+                    x = ((2 * r + 1) * q2 / denom) ** (2.0 / (2 * r + 5))
+            known[h] = x
+        return known[h]
 
     def g(h):
-        pilot = _pilot_spec(cfg, gamma_scale * h**gamma_exp)
-        if is_uniform_fallback(pilot):
-            # uniform pilot kills the functional; the implied bandwidth
-            # explodes, so report a strongly negative gap
-            return -1e9 * (1.0 + h)
-        psi = psi_hat(sample, pilot, 2 * r + 4).value
-        denom = n * (-1.0) ** r * psi
-        if denom <= 0.0:
-            return -1e9 * (1.0 + h)
-        return h - ((2 * r + 1) * q2 / denom) ** (2.0 / (2 * r + 5))
+        x = plugin(h)
+        return -1e9 * (1.0 + h) if x is None else h - x
 
-    return g
+    return g, plugin
 
 
 def select_ste(sample, cfg):
     """Solve-the-equation selection: the bandwidth is the fixed point of
-    the plug-in formula with a bandwidth-dependent pilot."""
+    the plug-in formula with a bandwidth-dependent pilot.
+
+    The root is the first one of a 32-point log prescan of g(h) = h - X(h)
+    (_first_root).  Each value costs a psi_hat with a fresh pilot kernel,
+    so the prescan reads most signs off the nondecreasing plug-in
+    bandwidth X instead (_certified_prescan); the root and the trace are
+    those of the full scan.  Without a sign change the prescan is widened
+    once toward smaller h, and then the plug-in cascade of select_dpi
+    gives the bandwidth."""
     _require_two(sample, "solve-the-equation")
     trace = []
     try:
         gap = _ste_gap(sample, cfg, trace)
         if gap is None:
             return _fallback(cfg, SelectorMethod.STE, trace, "pilot-chain")
-        # every value of g is a psi_hat with a fresh pilot kernel; the root
-        # that Brent returns and the ends of the first prescan have all been
-        # evaluated before, so the residual and the fallback reuse them
-        known = {}
-
-        def g(h):
-            if h not in known:
-                known[h] = gap(h)
-            return known[h]
-
+        # the root that Brent returns and the ends of the first prescan
+        # have been evaluated before, so the residual and the fallback
+        # reuse their values
+        g, plugin = gap
         lo, hi = _STE_BRACKET
-        root = _first_root(g, lo, hi, _STE_TOL, trace)
+        root = _first_root(g, lo, hi, _STE_TOL, trace, plugin)
         if root is None:
             # widen once toward the lower end, then give up on the
             # fixed-point route and reuse the plug-in cascade
             try:
-                root = _first_root(g, lo * 1e-3, hi, _STE_TOL, trace)
+                root = _first_root(g, lo * 1e-3, hi, _STE_TOL, trace, plugin)
             except _SOFT_ERRORS:
                 root = None
         if root is None:
@@ -371,15 +388,25 @@ def select_ste(sample, cfg):
     return _finalize(root, cfg, SelectorMethod.STE, trace)
 
 
-def _first_root(g, lo, hi, tol, trace):
+def _first_root(g, lo, hi, tol, trace, plugin=None):
     """First root of g on [lo, hi] in scan order of a 32-point log prescan:
     an exact zero of the prescan or a sign change between neighbours,
     whichever comes first; records multiplicity when the prescan shows
     several sign changes.  A sign change is refined by find_root, which
-    reuses the prescan's values at the two ends."""
+    reuses the prescan's values at the two ends.
+
+    ``plugin``, when given, is a nondecreasing X with g(h) = h - X(h)
+    (None where g has no finite X), as for the STE gap: the prescan then
+    evaluates only the points whose sign no value before certifies
+    (_certified_prescan), and the ends of the first sign change on
+    demand.  The signs, the root and the trace are those of the full scan.
+    """
     hs = np.geomspace(lo, hi, 32)
-    vals = [g(h) for h in hs]
-    signs = np.sign(vals)
+    if plugin is None:
+        vals = [g(h) for h in hs]
+        signs = np.sign(vals)
+    else:
+        vals, signs = _certified_prescan(g, plugin, hs)
     flips = [
         k for k in range(len(hs) - 1) if signs[k] != 0 and signs[k + 1] != 0 and signs[k] != signs[k + 1]
     ]
@@ -389,8 +416,53 @@ def _first_root(g, lo, hi, tol, trace):
         if signs[k] == 0:
             return float(hs[k])
         if flips and k == flips[0]:
-            return find_root(g, hs[k], hs[k + 1], tol=tol, g_lo=vals[k], g_hi=vals[k + 1])
+            g_lo, g_hi = (g(h) if v is None else v for h, v in zip(hs[k : k + 2], vals[k : k + 2]))
+            return find_root(g, hs[k], hs[k + 1], tol=tol, g_lo=g_lo, g_hi=g_hi)
     return None
+
+
+# relative margin of a sign certificate, far above the relative error that
+# the truncated pilot series leaves in X (psi_hat within 2.6e-11 of the
+# long series on zoo samples, n = 30 to 1e4; X within 2/5 of that), so
+# that a certified sign is the sign that g would return
+_CERT_MARGIN = 1e-6
+
+
+def _certified_prescan(g, plugin, hs):
+    """Signs of g(h) = h - X(h) on the ascending grid hs for a nondecreasing
+    X, evaluating g only where no value before fixes the sign.
+
+    One X(h') certifies the grid points on its far side: a larger h below
+    X(h') has X(h) >= X(h') > h, so g(h) < 0, and a smaller h above X(h')
+    has g(h) > 0; both with the margin _CERT_MARGIN.  A non-finite X
+    certifies nothing.  The ends are evaluated first, the lower one (the
+    largest pilot concentration, where a series can fail) before all
+    others, then the lowest and the highest point left in turn.  Returns
+    the values of g (None where a sign was certified) and the signs.
+    """
+    m = len(hs)
+    vals, signs = [None] * m, [None] * m
+    left = list(range(1, m - 1))  # interior points whose sign is open
+    k, low = 0, True
+    while k is not None:
+        vals[k] = g(hs[k])
+        signs[k] = np.sign(vals[k])
+        x = plugin(hs[k])
+        if x is not None and math.isfinite(x):
+            for j in left:
+                if j > k and hs[j] < x * (1.0 - _CERT_MARGIN):
+                    signs[j] = -1.0
+                elif j < k and hs[j] > x * (1.0 + _CERT_MARGIN):
+                    signs[j] = 1.0
+            left = [j for j in left if signs[j] is None]
+        if k == 0:
+            k = m - 1
+        elif left:
+            k = left.pop(0) if low else left.pop()
+            low = not low
+        else:
+            k = None
+    return vals, np.array(signs)
 
 
 def _lcv_candidates(family, hs, exact):
@@ -428,10 +500,17 @@ def _log_likelihood(loo):
     return np.where(bad, -np.inf, objs)
 
 
-# The cosine series at the sample points is accurate to about 1e-12 K(0)
-# in absolute terms (zoo samples and n = 2000 mixtures), so leave-one-out
-# densities below this fraction of K(0) are summed directly where they
-# can matter; above it their relative error is at most about 1e-6.
+# Bound on the absolute error of a leave-one-out density from the cosine
+# series, in units of K(0).  The density drops the series' tail, at most
+# sum_{j > J} alpha_j / pi: up to 1.2e-11 K(0) over the von Mises and
+# wrapped normal LCV candidates (kappa near 1e4), reached where the whole
+# sample sits at the point (about 2e-12 K(0) on spread samples); the NUFFT
+# adds below 1e-15 K(0); the leave-one-out step multiplies by
+# n / (n - 1) <= 2.
+_SERIES_ERR = 3e-11
+# Leave-one-out densities below this fraction of K(0) are summed directly
+# where they can matter; above it their relative error is at most
+# _SERIES_ERR / _LCV_FLOOR = 3e-5.
 _LCV_FLOOR = 1e-6
 
 
@@ -454,10 +533,10 @@ def _rescore_floor(sample, specs, peaks, loo, objs):
 
     # a candidate cannot reach the best clean objective if it stays below
     # it with its small values raised to twice the floor and the others
-    # raised by the series' relative error
+    # raised by the series' relative error, log(1 + e) <= e per value
     best = np.max(objs[~pending], initial=-np.inf)
     raised = np.fmax(loo, 2.0 * _LCV_FLOOR * peaks[:, None])
-    caps = np.sum(np.log(raised), axis=1) + 1e-6 * n
+    caps = np.sum(np.log(raised), axis=1) + n * (_SERIES_ERR / _LCV_FLOOR)
     for g in np.flatnonzero(pending & (caps >= best)):
         rescore(g)
     top = int(np.argmax(objs))

@@ -8,14 +8,18 @@ replication; the heavier calibration runs live in the acceptance suite.
 import functools
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import i0e
 
-from circkde.errors import UnsupportedKernelError
-from circkde.estimators import CircularSample, ise, kde, kde_values, psi_hat
+from circkde.cli import AngleFormat, IngestSpec, read_angles
+from circkde.errors import ToleranceError, UnsupportedKernelError
+from circkde.estimators import CircularSample, _kde_rows, ise, kde, kde_values, psi_hat
 from circkde.kernels import (
     UNIFORM_BANDWIDTH,
     KernelFamily,
@@ -539,7 +543,7 @@ class TestSteGapValuesComputedOnce:
 
     @staticmethod
     def _spy(monkeypatch):
-        pilots, brent_calls = [], []
+        pilots, brent_calls, prescan = [], [], set()
 
         def counted_psi_hat(sample, spec, order):
             pilots.append((spec, order))
@@ -552,22 +556,39 @@ class TestSteGapValuesComputedOnce:
 
             return find_root(counted, *args, **kwargs)
 
+        first_root = selectors._first_root
+
+        def counted_first_root(g, lo, hi, tol, trace, plugin=None):
+            # the prescan points at which g is evaluated, by the prescan
+            # itself or at the ends of the bracket it hands to Brent
+            grid = set(np.geomspace(lo, hi, 32))
+
+            def counted(h):
+                if h in grid:
+                    prescan.add(h)
+                return g(h)
+
+            return first_root(counted, lo, hi, tol, trace, plugin)
+
         monkeypatch.setattr(selectors, "psi_hat", counted_psi_hat)
         monkeypatch.setattr(selectors, "find_root", counted_find_root)
-        return pilots, brent_calls
+        monkeypatch.setattr(selectors, "_first_root", counted_first_root)
+        return pilots, brent_calls, prescan
 
     def test_root_residual_reuses_brents_value(self, monkeypatch):
-        pilots, brent_calls = self._spy(monkeypatch)
+        pilots, brent_calls, prescan = self._spy(monkeypatch)
         sel = select_ste(vm_sample(0), SelectorConfig())
         assert [t.label for t in sel.trace][-2:] == ["ste-residual", "final"]
         assert len(set(pilots)) == len(pilots)
-        # two pilot functionals, the 32-point prescan, then Brent's own
-        # iterates; the residual at the root adds no call
+        # two pilot functionals, the prescan points that no certificate
+        # covers, then Brent's own iterates; the residual at the root adds
+        # no call
         assert len(brent_calls) > 0
-        assert len(pilots) == 2 + 32 + len(brent_calls)
+        assert len(pilots) == 2 + len(prescan) + len(brent_calls)
+        assert 2 <= len(prescan) <= 10
 
     def test_no_sign_change_reuses_prescan_values(self, monkeypatch):
-        pilots, brent_calls = self._spy(monkeypatch)
+        pilots, brent_calls, prescan = self._spy(monkeypatch)
         seen_before_dpi = []
         dpi_h = selectors._dpi_h
 
@@ -584,7 +605,186 @@ class TestSteGapValuesComputedOnce:
         assert len(set(ste_pilots)) == len(ste_pilots)
         # two prescans that share their upper end; the ends in the trace
         # label come from the first
-        assert len(ste_pilots) == 2 + 32 + 31
+        assert len(ste_pilots) == 2 + len(prescan)
+        assert {1e-3, 2e-3} <= prescan
+
+
+def crash_angles():
+    csv = str(resources.files("circkde") / "data" / "crash_times.csv")
+    return read_angles(IngestSpec(csv, AngleFormat.HHMM, column="time"))
+
+
+def _ste_cases():
+    cases = []
+    for model in builtin_models():
+        for n in (2, 30, 100, 1000):
+            for seed in range(4):
+                cases.append(pytest.param(model.name, n, seed, id=f"{model.name}-{n}-{seed}"))
+    return cases
+
+
+class TestCertifiedPrescan:
+    """The STE prescan reads signs off the monotone plug-in bandwidth X
+    instead of evaluating every point; the selection is that of the full
+    32-point scan, bit for bit."""
+
+    @staticmethod
+    def _both(sample, cfg, monkeypatch):
+        certified = select_ste(sample, cfg)
+        first_root = selectors._first_root
+        with monkeypatch.context() as m:
+            m.setattr(
+                selectors,
+                "_first_root",
+                lambda g, lo, hi, tol, trace, plugin=None: first_root(g, lo, hi, tol, trace),
+            )
+            plain = select_ste(sample, cfg)
+        return certified, plain
+
+    @staticmethod
+    def _assert_same(certified, plain):
+        assert certified.to_json() == plain.to_json()
+        assert (certified.nu, certified.h, certified.fallback_uniform) == (
+            plain.nu,
+            plain.h,
+            plain.fallback_uniform,
+        )
+        assert [t.label for t in certified.trace] == [t.label for t in plain.trace]
+
+    @pytest.mark.parametrize("name, n, seed", _ste_cases())
+    def test_zoo_matches_full_scan(self, name, n, seed, monkeypatch):
+        model = {m.name: m for m in builtin_models()}[name]
+        sample = model.sampler(np.random.default_rng(np.random.SeedSequence([seed, 0])), n)
+        self._assert_same(*self._both(sample, SelectorConfig(), monkeypatch))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SelectorConfig(),
+            SelectorConfig(M_max=3),
+            SelectorConfig(r=1),
+            SelectorConfig(pilot_family=WN),
+            SelectorConfig(exact_inversion=True),
+        ],
+        ids=["default", "mmax3", "r1", "wn-pilot", "exact"],
+    )
+    @pytest.mark.parametrize("data", ["crash", "ten-identical", "kappa-3e5", "vm"])
+    def test_special_samples_match_full_scan(self, data, cfg, monkeypatch):
+        angles = {
+            "crash": crash_angles,
+            "ten-identical": lambda: np.full(10, 0.3),
+            "kappa-3e5": lambda: np.random.default_rng(1).vonmises(0.5, 3e5, 100),
+            "vm": lambda: vm_sample(0).angles,
+        }[data]()
+        self._assert_same(*self._both(CircularSample.from_data(angles), cfg, monkeypatch))
+
+    @pytest.mark.parametrize("n, seed", [(300, 20), (1000, 64)])
+    def test_widened_prescan_matches_full_scan(self, n, seed, monkeypatch):
+        # uniform draws without a root in the bracket, whose widened
+        # prescan runs to its end
+        model = {m.name: m for m in builtin_models()}["U"]
+        sample = model.sampler(np.random.default_rng(np.random.SeedSequence([seed, 0])), n)
+        certified, plain = self._both(sample, SelectorConfig(), monkeypatch)
+        assert any(t.label.startswith("fallback:no-sign-change:") for t in plain.trace)
+        self._assert_same(certified, plain)
+
+    def test_narrowed_bracket_without_sign_change_matches_full_scan(self, monkeypatch):
+        monkeypatch.setattr(selectors, "_STE_BRACKET", (1e-3, 2e-3))
+        certified, plain = self._both(vm_sample(0), SelectorConfig(), monkeypatch)
+        assert any(t.label.startswith("fallback:no-sign-change:") for t in plain.trace)
+        self._assert_same(certified, plain)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 400),
+        st.floats(0.0, 50.0),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["default", "r1", "wn-pilot", "exact"]),
+    )
+    def test_plugin_bandwidth_nondecreasing_on_prescan_grid(self, n, spread, seed, variant):
+        cfg = {
+            "default": SelectorConfig(),
+            "r1": SelectorConfig(r=1),
+            "wn-pilot": SelectorConfig(pilot_family=WN),
+            "exact": SelectorConfig(exact_inversion=True),
+        }[variant]
+        sample = CircularSample.from_data(np.random.default_rng(seed).vonmises(0.0, spread, n))
+        gap = selectors._ste_gap(sample, cfg, [])
+        if gap is None:
+            return
+        _, plugin = gap
+        xs = []
+        for h in np.geomspace(*selectors._STE_BRACKET, 32):
+            try:
+                x = plugin(h)
+            except ToleranceError:
+                # only the narrowest pilots can outgrow the series' term
+                # limit, so no later point has failed
+                assert xs == []
+                continue
+            xs.append(math.inf if x is None else x)
+        # no finite plug-in bandwidth (a uniform pilot) stands for +inf
+        assert all(b >= a for a, b in zip(xs, xs[1:]))
+
+    HS = np.geomspace(1e-3, 1.0, 32)
+
+    @staticmethod
+    def _gap(xs, hs):
+        plugin = dict(zip(hs, xs)).get
+
+        def g(h):
+            x = plugin(h)
+            return -1e9 * (1.0 + h) if x is None else h - x
+
+        return g, plugin
+
+    def _assert_certified_equals_full(self, xs):
+        hs = self.HS
+        g, plugin = self._gap(xs, hs)
+        vals, signs = selectors._certified_prescan(g, plugin, hs)
+        full = [g(h) for h in hs]
+        np.testing.assert_array_equal(signs, np.sign(full))
+        assert all(v is None or v == f for v, f in zip(vals, full))
+        assert vals[0] is not None and vals[-1] is not None
+        traces = [], []
+        roots = [
+            _first_root(g, hs[0], hs[-1], 1e-12, traces[0], plugin),
+            _first_root(g, hs[0], hs[-1], 1e-12, traces[1]),
+        ]
+        assert roots[0] == roots[1]
+        assert traces[0] == traces[1]
+        return vals, roots[0], traces[0]
+
+    def test_steps_with_several_roots_and_an_exact_zero(self):
+        hs = self.HS
+        # X steps up three times; g = h - X is zero at hs[3], changes sign
+        # inside [hs[10], hs[11]] and [hs[20], hs[21]], jumps down at each
+        # step and is the sentinel from hs[29] on
+        xs = (
+            [hs[3]] * 6
+            + [math.sqrt(hs[10] * hs[11])] * 9
+            + [math.sqrt(hs[20] * hs[21])] * 14
+            + [None] * 3
+        )
+        vals, root, trace = self._assert_certified_equals_full(xs)
+        assert root == hs[3]
+        assert [t.label for t in trace] == ["ste-multiple-roots:5"]
+        assert sum(v is not None for v in vals) < 32
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 31), st.floats(1e-4, 2.0)),
+            min_size=32,
+            max_size=32,
+        ),
+        st.integers(0, 32),
+    )
+    def test_any_nondecreasing_plugin(self, draws, sentinel_from):
+        # grid points drawn as integers give exact zeros of g
+        values = sorted(float(self.HS[d]) if isinstance(d, int) else d for d in draws)
+        xs = [x if k < sentinel_from else None for k, x in enumerate(values)]
+        self._assert_certified_equals_full(xs)
 
 
 def _fast_ise(sample, nu, truth, m=2048):
@@ -790,6 +990,34 @@ class TestSpectralLcv:
                     assert objs[g] == pytest.approx(np.sum(np.log(loo)), rel=1e-9)
                     checked += 1
         assert checked > 100
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 2000),
+        st.floats(0.0, 100.0),
+        st.floats(0.0, 4.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(30, 1.0, math.log10(6521.0), 0)
+    def test_leave_one_out_error_within_stated_bound(self, n, spread, log_kappa, seed):
+        # _rescore_floor's pruning allows each value above the floor the
+        # relative error _SERIES_ERR / _LCV_FLOOR
+        sample = CircularSample.from_data(np.random.default_rng(seed).vonmises(0.0, spread, n))
+        specs, weights, peaks = _lcv_candidates(VM, [10.0**-log_kappa], False)
+        loo = (n * _kde_rows(sample, specs, sample.angles, weights)[0] - peaks[0]) / (n - 1)
+        direct, peak = _direct_loo(sample, specs[0])
+        assert np.max(np.abs(loo - direct)) <= selectors._SERIES_ERR * peak
+
+    @pytest.mark.parametrize("family", [VM, WN])
+    def test_stated_bound_covers_a_sample_at_one_point(self, family):
+        # two identical angles under the narrowest candidate: every dropped
+        # term of the series adds up at the point
+        sample = CircularSample.from_data(np.zeros(2))
+        specs, weights, peaks = _lcv_candidates(family, [1e-4], False)
+        loo = 2 * _kde_rows(sample, specs, sample.angles, weights)[0] - peaks[0]
+        direct, peak = _direct_loo(sample, specs[0])
+        err = np.max(np.abs(loo - direct))
+        assert 0.3 * selectors._SERIES_ERR * peak < err <= selectors._SERIES_ERR * peak
 
     @pytest.mark.parametrize(
         "cfg,count", zip(SPECTRAL_LCV, (50, 20, 20)), ids=["vm", "vm-exact", "wn"]
