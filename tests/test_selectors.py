@@ -643,13 +643,8 @@ class TestCertifiedPrescan:
 
     @staticmethod
     def _assert_same(certified, plain):
+        # nu, h, fallback_uniform and every trace field, exactly
         assert certified.to_json() == plain.to_json()
-        assert (certified.nu, certified.h, certified.fallback_uniform) == (
-            plain.nu,
-            plain.h,
-            plain.fallback_uniform,
-        )
-        assert [t.label for t in certified.trace] == [t.label for t in plain.trace]
 
     @pytest.mark.parametrize("name, n, seed", _ste_cases())
     def test_zoo_matches_full_scan(self, name, n, seed, monkeypatch):
