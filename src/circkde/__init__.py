@@ -33,7 +33,6 @@ from .estimators import (
 from .kernels import (
     UNIFORM_BANDWIDTH,
     UNIFORM_FALLBACK,
-    FourierTruncation,
     KernelConstants,
     KernelFamily,
     KernelSpec,
@@ -115,7 +114,6 @@ __all__ = [
     # kernels
     "UNIFORM_BANDWIDTH",
     "UNIFORM_FALLBACK",
-    "FourierTruncation",
     "KernelConstants",
     "KernelFamily",
     "KernelSpec",

@@ -644,8 +644,8 @@ def _periodic_interp(thetas, values):
 
 def ise(est, truth):
     """Integrated squared error between a density estimate and a known
-    density, by adaptive quadrature: integrate_circle at its default
-    tolerances (special.DEFAULT_QUADRATURE).
+    density, by adaptive quadrature: integrate_circle, to an absolute
+    error of 1e-8.
 
     When the grid carries its sample and kernel the estimate is
     re-evaluated exactly at the quadrature nodes; otherwise the grid is

@@ -37,7 +37,6 @@ from .special import (
 __all__ = [
     "KernelFamily",
     "KernelSpec",
-    "FourierTruncation",
     "KernelConstants",
     "UNIFORM_FALLBACK",
     "is_uniform_fallback",
@@ -67,16 +66,12 @@ class KernelFamily(str, enum.Enum):
     CARDIOID = "cardioid"
 
 
-@dataclass(frozen=True)
-class FourierTruncation:
-    """Tail rule for coefficient series: stop once terms stay below
-    rel_tol times the running sum for three consecutive orders."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 10000
-
-
-DEFAULT_TRUNCATION = FourierTruncation()
+# the tail rule: stop once three terms in a row are at most this fraction
+# of the running sum of |terms|
+_TAIL_REL_TOL = 1e-12
+# the wrapped Epanechnikov's coefficients decay like j^-2, so no caller sums
+# its series; j^r alpha_j, r >= 0, raises after this many terms
+_EPANECHNIKOV_TERMS = 10000
 
 
 class _UniformFallback:
@@ -260,24 +255,24 @@ def _tail_rule(c, total, consec, rel_tol):
     return None, total, len(flags) - len(flags.rstrip(b"\1"))
 
 
-def _tail_series(block_terms, first_block, trunc, what):
+def _tail_series(block_terms, first_block, max_terms, what):
     """Terms j = 1..J of a series, with J from the tail rule.
 
     ``block_terms(j0, hi)`` returns (terms, envelope) for the orders
     j0..hi; the rule runs on the envelope, and the terms are kept up to
     the order where it stops.  Blocks start at ``first_block`` orders and
-    double up to 4096.  Raises ToleranceError, naming ``what``, when
-    ``trunc.max_terms`` is exhausted.
+    double up to 4096.  Raises ToleranceError, naming ``what``, when the
+    rule has not stopped within ``max_terms`` orders.
     """
     out = []
     total = 0.0
     consec = 0
     j0 = 1
     block = first_block
-    while j0 <= trunc.max_terms:
-        hi = min(j0 + block - 1, trunc.max_terms)
+    while j0 <= max_terms:
+        hi = min(j0 + block - 1, max_terms)
         terms, envelope = block_terms(j0, hi)
-        stop, total, consec = _tail_rule(envelope, total, consec, trunc.rel_tol)
+        stop, total, consec = _tail_rule(envelope, total, consec, _TAIL_REL_TOL)
         if stop is not None:
             # a copy, which holds neither the whole block nor a cached table
             if not out:
@@ -287,13 +282,30 @@ def _tail_series(block_terms, first_block, trunc, what):
         out.append(terms)
         j0 = hi + 1
         block = min(block * 2, 4096)
-    raise ToleranceError(f"{what} did not fall below tolerance within {trunc.max_terms} terms")
+    raise ToleranceError(f"{what} did not fall below tolerance within {max_terms} terms")
+
+
+def _term_limit(spec, growth):
+    """Orders within which a kernel's series j^growth alpha_j^t (t = 1, 2) meets the tail rule."""
+    fam = spec.family
+    if fam == KernelFamily.VONMISES:
+        return bessel_ratio_span(spec.kappa, growth)
+    if spec.nu == 0.0 or fam == KernelFamily.CARDIOID:
+        return 64
+    if fam == KernelFamily.WRAPPEDNORMAL:  # nu^(j^2) = exp(-j^2 / (2 kappa))
+        return bessel_ratio_span(-0.5 / math.log(spec.nu), growth)
+    if fam == KernelFamily.WRAPPEDCAUCHY:
+        # j^g nu^j <= 2^g nu^(j/2) max_x x^g nu^x: below about exp(-50) of
+        # the largest term from (100 + 2 g ln 2) / |ln nu| on
+        g = max(growth, 0)
+        return max(64, math.ceil((100.0 + 2.0 * g * math.log(2.0)) / -math.log(spec.nu)))
+    return _EPANECHNIKOV_TERMS
 
 
 @lru_cache(maxsize=4096)
-def _series_weights(spec, growth, power, trunc):
+def _series_weights(spec, growth, power):
     """Truncated coefficient array c_j = j^growth * alpha_j^power, j = 1..J,
-    with the tail rule run on the c_j themselves."""
+    with the tail rule run on the c_j themselves, within _term_limit."""
 
     def block_terms(j0, hi):
         js = np.arange(j0, hi + 1)
@@ -310,7 +322,7 @@ def _series_weights(spec, growth, power, trunc):
     vm = spec.family == KernelFamily.VONMISES
     first_block = bessel_ratio_span(spec.kappa) if vm else 64
     what = f"coefficient series for {spec.family.value} (growth={growth}, power={power})"
-    return _tail_series(block_terms, first_block, trunc, what)
+    return _tail_series(block_terms, first_block, _term_limit(spec, growth), what)
 
 
 def derivative_weights(spec, deriv_order=0):
@@ -323,7 +335,7 @@ def derivative_weights(spec, deriv_order=0):
         raise ValueError(f"deriv_order must be nonnegative, got {deriv_order}")
     if spec.nu == 0.0:
         return np.empty(0)
-    return _series_weights(spec, deriv_order, 1, DEFAULT_TRUNCATION)
+    return _series_weights(spec, deriv_order, 1)
 
 
 def bandwidth(spec):
@@ -341,7 +353,7 @@ def bandwidth(spec):
         return UNIFORM_BANDWIDTH - 4.0 * spec.nu
     if fam == KernelFamily.WRAPPEDEPANECHNIKOV:
         return spec.lam**2 / 5.0
-    weights = _series_weights(spec, -2, 1, DEFAULT_TRUNCATION)
+    weights = _series_weights(spec, -2, 1)
     js = np.arange(1, len(weights) + 1)
     return UNIFORM_BANDWIDTH + 4.0 * float(np.sum((-1.0) ** js * weights))
 
@@ -358,7 +370,7 @@ def _roughness_sign(deriv_order, power):
     return 1.0
 
 
-def roughness(spec, deriv_order=0, power=2, trunc=None):
+def roughness(spec, deriv_order=0, power=2):
     """Roughness functional of the kernel.
 
     For power t and derivative order r this is
@@ -370,7 +382,6 @@ def roughness(spec, deriv_order=0, power=2, trunc=None):
         raise ValueError(f"power must be 1 or 2, got {power}")
     if deriv_order < 0:
         raise ValueError(f"deriv_order must be nonnegative, got {deriv_order}")
-    trunc = trunc or DEFAULT_TRUNCATION
     fam = spec.family
     r, t = deriv_order, power
     if spec.nu == 0.0:
@@ -402,7 +413,7 @@ def roughness(spec, deriv_order=0, power=2, trunc=None):
             return 1.0 / (2.0 * np.pi * i0e(spec.kappa))
         # int K^2 = I_0(2 kappa) / (2 pi I_0(kappa)^2)
         return i0e(2.0 * spec.kappa) / (2.0 * np.pi * i0e(spec.kappa) ** 2)
-    weights = _series_weights(spec, t * r, t, trunc)
+    weights = _series_weights(spec, t * r, t)
     total = math.fsum(weights)
     if r == 0:
         return (1.0 + 2.0 * total) / (2.0 * np.pi)
@@ -588,10 +599,10 @@ def kernel_value(spec, theta, deriv_order=0):
     if fam == KernelFamily.WRAPPEDEPANECHNIKOV:
         out = _epanechnikov_value(spec, th, r)
     elif r == 0:  # wrapped normal: no elementary closed form
-        weights = _series_weights(spec, 0, 1, DEFAULT_TRUNCATION)
+        weights = _series_weights(spec, 0, 1)
         out = 1.0 / two_pi + _series_eval(weights, th, 0.0)
     else:
-        weights = _series_weights(spec, r, 1, DEFAULT_TRUNCATION)
+        weights = _series_weights(spec, r, 1)
         out = _series_eval(weights, th, r * np.pi / 2.0)
 
     return float(out[0]) if scalar else out

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FitError
 from .estimators import CircularSample
-from .kernels import DEFAULT_TRUNCATION, _tail_series, wrap_angle
+from .kernels import _tail_series, wrap_angle
 from .special import bessel_ratio_span, bessel_ratios, i0e, inv_bessel_ratio
 
 __all__ = [
@@ -303,10 +303,11 @@ def mixture_fourier(model, J):
     return _harmonics(model, 1, J)[0]
 
 
-def _psi_terms(model, s, trunc):
+def _psi_terms(model, s):
     """The harmonic terms j^s (a_j^2 + b_j^2), j = 1..J, of psi_s, with J
-    from the tail rule on the envelope j^s ratio_j(kappa_max)^2.  The
-    ratios grow with kappa, so the envelope bounds every component."""
+    from the tail rule on the envelope j^s ratio_j(kappa_max)^2 within its
+    term limit.  The ratios grow with kappa, so the envelope bounds every
+    component."""
 
     def block_terms(j0, hi):
         coeffs, ratios_max = _harmonics(model, j0, hi)
@@ -314,11 +315,12 @@ def _psi_terms(model, s, trunc):
         envelope = powers * ratios_max**2
         return powers * (coeffs[:, 0] ** 2 + coeffs[:, 1] ** 2), envelope
 
+    kmax = model.kappas.max()
     what = f"mixture harmonic series for s={s}, kappa={model.kappa}"
-    return _tail_series(block_terms, bessel_ratio_span(model.kappas.max()), trunc, what)
+    return _tail_series(block_terms, bessel_ratio_span(kmax), bessel_ratio_span(kmax, s), what)
 
 
-def psi_from_model(model, s, trunc=None):
+def psi_from_model(model, s):
     """psi_s = int f^(s) f for the mixture, via orthogonality of the
     Fourier basis: the harmonics contribute (-1)^(s/2) j^s (a_j^2+b_j^2)/pi.
 
@@ -329,7 +331,6 @@ def psi_from_model(model, s, trunc=None):
     """
     if s < 0 or s % 2 != 0:
         raise ValueError(f"s must be even and nonnegative, got {s}")
-    trunc = trunc or DEFAULT_TRUNCATION
     base = 1.0 / (2.0 * np.pi) if s == 0 else 0.0
     sign = -1.0 if s % 4 == 2 else 1.0
-    return base + sign * math.fsum(_psi_terms(model, s, trunc)) / np.pi
+    return base + sign * math.fsum(_psi_terms(model, s)) / np.pi

@@ -61,7 +61,9 @@ __all__ = [
 ]
 
 _PILOT_FAMILIES = (KernelFamily.VONMISES, KernelFamily.WRAPPEDNORMAL)
-# bandwidth bracket and tolerance of the solve-the-equation root
+# bandwidth bracket and tolerance of the solve-the-equation root; its lower
+# end and EM's kappa cap (1e6) bound the pilots: on a kappa = 5e5, n = 1e4
+# sample the narrowest has kappa 4.6e6 and a 15 679-term series
 _STE_BRACKET = (1e-6, UNIFORM_BANDWIDTH - 1e-6)
 _STE_TOL = 1e-8
 # numeric failures that downgrade a selector to the uniform fallback
@@ -351,9 +353,8 @@ def select_ste(sample, cfg):
     (_first_root).  Each value costs a psi_hat with a fresh pilot kernel,
     so the prescan reads most signs off the nondecreasing plug-in
     bandwidth X instead (_certified_prescan); the root and the trace are
-    those of the full scan.  Without a sign change the prescan is widened
-    once toward smaller h, and then the plug-in cascade of select_dpi
-    gives the bandwidth."""
+    those of the full scan.  Without a sign change in the bracket the
+    plug-in cascade of select_dpi gives the bandwidth."""
     _require_two(sample, "solve-the-equation")
     trace = []
     try:
@@ -366,13 +367,6 @@ def select_ste(sample, cfg):
         g, plugin = gap
         lo, hi = _STE_BRACKET
         root = _first_root(g, lo, hi, _STE_TOL, trace, plugin)
-        if root is None:
-            # widen once toward the lower end, then give up on the
-            # fixed-point route and reuse the plug-in cascade
-            try:
-                root = _first_root(g, lo * 1e-3, hi, _STE_TOL, trace, plugin)
-            except _SOFT_ERRORS:
-                root = None
         if root is None:
             g_lo, g_hi = g(lo), g(hi)
             trace.append(
@@ -435,9 +429,8 @@ def _certified_prescan(g, plugin, hs):
     One X(h') certifies the grid points on its far side: a larger h below
     X(h') has X(h) >= X(h') > h, so g(h) < 0, and a smaller h above X(h')
     has g(h) > 0; both with the margin _CERT_MARGIN.  A non-finite X
-    certifies nothing.  The ends are evaluated first, the lower one (the
-    largest pilot concentration, where a series can fail) before all
-    others, then the lowest and the highest point left in turn.  Returns
+    certifies nothing.  The two ends are evaluated first, the lower one
+    first, then the lowest and the highest point left in turn.  Returns
     the values of g (None where a sign was certified) and the signs.
     """
     m = len(hs)

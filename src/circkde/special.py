@@ -39,7 +39,6 @@ from .errors import BracketingError, ToleranceError
 
 __all__ = [
     "BesselRatioTable",
-    "QuadratureConfig",
     "i0e",
     "bessel_ratio",
     "bessel_ratio_span",
@@ -51,17 +50,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Error budget for adaptive quadrature over the circle."""
-
-    abs_tol: float = 1e-8
-    max_subdivisions: int = 200
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -193,12 +181,17 @@ def _backward_ratios(kappa, lo, hi):
     return out
 
 
-def bessel_ratio_span(kappa):
+def bessel_ratio_span(kappa, growth=0):
     """Orders j covered by the first span of a ratio table: those where
     I_j(kappa)/I_0(kappa), about exp(-j^2 / (2 kappa)), is still above
-    about exp(-50), and at least 64.  A coefficient series j^r (I_j/I_0)^t
-    with r <= 8 meets a 1e-12 relative tail rule inside it."""
-    return max(64, math.ceil(math.sqrt(100.0 * _concentration(kappa))))
+    about exp(-50), and at least 64.  With g = max(growth, 0) it is also
+    the term limit of a series j^g (I_j/I_0)^t, t >= 1, or of the wrapped
+    normal's rho^(j^2) at kappa = -1 / (2 ln rho): sqrt((100 + 2g)(kappa +
+    g)), past which j^g exp(-j^2 / (2 kappa)) is below exp(-39) of its peak
+    (+ g for the ratios' slower fall near j = kappa, Amos 1974).  Measured
+    for kappa from 1e-3 to 1e7 and g up to 60, J is at most 0.87 of it."""
+    g = max(growth, 0)
+    return max(64, math.ceil(math.sqrt((100.0 + 2.0 * g) * (_concentration(kappa) + g))))
 
 
 @lru_cache(maxsize=256)
@@ -297,6 +290,9 @@ def bessel_ratios(kappa, max_order):
 # inv_bessel_ratio's Newton budget: relative step in kappa and step count
 _INV_RATIO_TOL = 1e-10
 _INV_RATIO_MAX_ITER = 100
+# from here on its slope 1 - A/kappa - A^2, about 1/(2 kappa^2), keeps under
+# four digits (0.0 near kappa = 1e8) and comes from A's asymptotic series
+_SLOPE_SERIES_KAPPA = 1e6
 
 
 def _ratio_and_derivative(kappa):
@@ -304,6 +300,9 @@ def _ratio_and_derivative(kappa):
     a = _first_ratio(kappa)
     if kappa < 1e-8:
         return a, 0.5
+    if kappa >= _SLOPE_SERIES_KAPPA:
+        t = 1.0 / kappa
+        return a, t * t * (0.5 + t * (0.25 + t * (0.375 + t * (25.0 / 32.0 + t * (65.0 / 32.0)))))
     return a, 1.0 - a / kappa - a * a
 
 
@@ -415,30 +414,27 @@ def polylog(order, x):
     return numer / (1.0 - x) ** (n + 1)
 
 
-def integrate_circle(f, cfg=None):
+_QUAD_ABS_TOL = 1e-8
+_QUAD_LIMIT = 200
+
+
+def integrate_circle(f):
     """Integrate f over one period [-pi, pi) of the circle.
 
-    Adaptive quadrature; raises ToleranceError (with the best estimate
-    attached) when the error estimate exceeds ``cfg.abs_tol`` or the
-    subdivision budget is exhausted.
+    Adaptive quadrature to an absolute error of 1e-8 within 200
+    subdivisions; raises ToleranceError (with the best estimate attached)
+    when the error estimate exceeds it or the subdivisions run out.
     """
     # imported here: scipy.integrate costs about 0.4 s of cold start
     from scipy.integrate import quad
 
-    cfg = cfg or DEFAULT_QUADRATURE
     out = quad(
-        f,
-        -np.pi,
-        np.pi,
-        epsabs=cfg.abs_tol,
-        epsrel=0.0,
-        limit=cfg.max_subdivisions,
-        full_output=1,
+        f, -np.pi, np.pi, epsabs=_QUAD_ABS_TOL, epsrel=0.0, limit=_QUAD_LIMIT, full_output=1
     )
     value, abserr = out[0], out[1]
-    if len(out) > 3 or abserr > cfg.abs_tol:
+    if len(out) > 3 or abserr > _QUAD_ABS_TOL:
         raise ToleranceError(
-            f"quadrature error {abserr:.3e} exceeds abs_tol {cfg.abs_tol:.3e}",
+            f"quadrature error {abserr:.3e} exceeds abs_tol {_QUAD_ABS_TOL:.3e}",
             estimate=value,
             error=abserr,
         )

@@ -105,16 +105,14 @@ OPTIONAL_PARAMETERS = {
     "concentration_from_bandwidth": ("exact",),
     "derivative_weights": ("deriv_order",),
     "kernel_value": ("deriv_order",),
-    "roughness": ("deriv_order", "power", "trunc"),
+    "roughness": ("deriv_order", "power"),
     "fit_em": ("seed", "tol"),
-    "psi_from_model": ("trunc",),
     "select_aic": ("seed",),
     "select_gold": ("grid",),
     "emit_table": ("format",),
     "run_monte_carlo": ("seed", "nu_grid", "cfg"),
     "bessel_ratio": ("order",),
     "find_root": ("tol", "max_iter", "g_lo", "g_hi"),
-    "integrate_circle": ("cfg",),
 }
 
 
@@ -129,4 +127,4 @@ def test_optional_parameters_of_public_functions_are_listed():
         if optional:
             found[name] = optional
     assert found == OPTIONAL_PARAMETERS
-    assert sum(map(len, found.values())) == 28
+    assert sum(map(len, found.values())) == 25

@@ -14,14 +14,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from circkde.errors import ToleranceError, UnsupportedKernelError
 from circkde.kernels import (
-    DEFAULT_TRUNCATION,
     UNIFORM_BANDWIDTH,
     UNIFORM_FALLBACK,
-    FourierTruncation,
     KernelFamily,
     KernelSpec,
     bandwidth,
@@ -35,7 +35,8 @@ from circkde.kernels import (
     roughness,
     wrap_angle,
 )
-from circkde.kernels import _alpha_block, _series_weights
+from circkde.kernels import _alpha_block, _series_weights, _term_limit
+from circkde.special import bessel_ratio_span
 from circkde.estimators import CircularSample, kde_values
 
 ALL_FAMILIES = list(KernelFamily)
@@ -558,15 +559,16 @@ class TestKernelValue:
 
 
 class TestTruncation:
-    def test_budget_exhaustion_raises(self):
-        tight = FourierTruncation(rel_tol=1e-12, max_terms=5)
-        spec = KernelSpec.wrapped_normal(0.97)
-        with pytest.raises(ToleranceError):
-            roughness(spec, 2, 2, trunc=tight)
+    def test_wrapped_epanechnikov_series_exhausts_its_limit(self):
+        # coefficients that decay like j^-2 do not meet the tail rule
+        # within the family's 10 000 terms
+        spec = KernelSpec.wrapped_epanechnikov(lam=0.5)
+        with pytest.raises(ToleranceError, match="within 10000 terms"):
+            derivative_weights(spec, 0)
 
-    def test_default_budget_succeeds_at_high_concentration(self):
+    def test_derived_limit_succeeds_at_high_concentration(self):
         spec = KernelSpec.wrapped_normal(0.995)
-        val = roughness(spec, 2, 2, trunc=DEFAULT_TRUNCATION)
+        val = roughness(spec, 2, 2)
         assert np.isfinite(val) and val > 0
 
     def test_oscillating_tail_not_cut_early(self):
@@ -577,15 +579,15 @@ class TestTruncation:
         assert bandwidth(spec) == pytest.approx(target, abs=1e-9)
 
 
-def _series_weights_loop(spec, growth, power, trunc):
+def _series_weights_loop(spec, growth, power, max_terms, rel_tol=1e-12):
     """Frozen term-by-term tail rule: the reference for the vectorized one."""
     out = []
     total = 0.0
     consec = 0
     j0 = 1
     block = 64
-    while j0 <= trunc.max_terms:
-        hi = min(j0 + block - 1, trunc.max_terms)
+    while j0 <= max_terms:
+        hi = min(j0 + block - 1, max_terms)
         js = np.arange(j0, hi + 1)
         alphas = _alpha_block(spec, js)
         c = js.astype(float) ** growth * alphas**power
@@ -593,7 +595,7 @@ def _series_weights_loop(spec, growth, power, trunc):
             v = c[idx]
             total += abs(v)
             out.append(v)
-            if abs(v) <= trunc.rel_tol * max(total, 1e-300):
+            if abs(v) <= rel_tol * max(total, 1e-300):
                 consec += 1
                 if consec >= 3:
                     return np.array(out)
@@ -610,6 +612,10 @@ def _tail_rule_specs(family):
         nus = [0.0, 0.1, 0.25, 0.4, 0.49]
     if family == KernelFamily.WRAPPEDEPANECHNIKOV:
         nus = [3.0 / np.pi**2, 0.35, 0.5, 0.8, 0.97, 0.9995]
+    if family == KernelFamily.WRAPPEDCAUCHY:
+        # at 0.99999 the series runs to millions of terms, too many for
+        # the term-by-term loop
+        nus.remove(0.99999)
     return [KernelSpec.from_nu(family, nu) for nu in nus]
 
 
@@ -618,24 +624,66 @@ class TestSeriesTailRule:
     # that straddles the first block boundary (j = 64 | 65)
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
     def test_matches_term_by_term_loop(self, family):
-        truncs = (DEFAULT_TRUNCATION, FourierTruncation(rel_tol=1e-6, max_terms=100))
         errors = 0
         for spec in _tail_rule_specs(family):
             for growth in (-2, 0, 1, 2, 4, 6, 8):
+                limit = _term_limit(spec, growth)
                 for power in (1, 2):
-                    for trunc in truncs:
-                        try:
-                            expect = _series_weights_loop(spec, growth, power, trunc)
-                        except ToleranceError:
-                            errors += 1
-                            with pytest.raises(ToleranceError):
-                                _series_weights.__wrapped__(spec, growth, power, trunc)
-                            continue
-                        got = _series_weights.__wrapped__(spec, growth, power, trunc)
-                        assert len(got) == len(expect)
-                        assert np.array_equal(got, expect), (spec, growth, power, trunc)
-        if family in (KernelFamily.WRAPPEDCAUCHY, KernelFamily.WRAPPEDEPANECHNIKOV):
-            assert errors > 0  # the budget-exhaustion path is exercised
+                    try:
+                        expect = _series_weights_loop(spec, growth, power, limit)
+                    except ToleranceError:
+                        errors += 1
+                        with pytest.raises(ToleranceError):
+                            _series_weights.__wrapped__(spec, growth, power)
+                        continue
+                    got = _series_weights.__wrapped__(spec, growth, power)
+                    assert len(got) == len(expect)
+                    assert np.array_equal(got, expect), (spec, growth, power)
+        # only the wrapped Epanechnikov's series outgrow their limit
+        if family == KernelFamily.WRAPPEDEPANECHNIKOV:
+            assert errors > 0
+        else:
+            assert errors == 0
+
+
+class TestTermLimits:
+    """Every series that a kernel family can be asked for meets the tail
+    rule inside the limit worked out from its concentration."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([KernelFamily.VONMISES, KernelFamily.WRAPPEDNORMAL]),
+        st.floats(0.0, 7.0),
+        st.integers(-2, 40),
+        st.sampled_from([1, 2]),
+    )
+    @example(KernelFamily.VONMISES, 7.0, 40, 1)
+    @example(KernelFamily.WRAPPEDNORMAL, 7.0, 40, 1)
+    def test_gaussian_families_stop_inside_their_limit(self, family, log_kappa, growth, power):
+        kappa = 10.0**log_kappa
+        if family == KernelFamily.VONMISES:
+            spec = KernelSpec.vonmises(kappa=kappa)
+        else:
+            # rho^(j^2) = exp(-j^2 / (2 kappa))
+            spec = KernelSpec.wrapped_normal(math.exp(-0.5 / kappa))
+        weights = _series_weights.__wrapped__(spec, growth, power)
+        assert 3 <= len(weights) <= _term_limit(spec, growth)
+        assert np.all(np.isfinite(weights))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.floats(-3.0, math.log10(0.99)), st.integers(-2, 40), st.sampled_from([1, 2]))
+    def test_wrapped_cauchy_stops_inside_its_limit(self, log_gap, growth, power):
+        spec = KernelSpec.wrapped_cauchy(1.0 - 10.0**log_gap)
+        weights = _series_weights.__wrapped__(spec, growth, power)
+        assert len(weights) <= _term_limit(spec, growth)
+
+    @pytest.mark.parametrize("kappa", [1e3, 1e6])
+    def test_von_mises_limit_grows_with_the_growth(self, kappa):
+        # a growth of 30 (r = 11 at nstage 2) needs more orders than the
+        # ratio table's first span
+        spec = KernelSpec.vonmises(kappa=kappa)
+        weights = _series_weights.__wrapped__(spec, 30, 1)
+        assert bessel_ratio_span(kappa) < len(weights) <= bessel_ratio_span(kappa, 30)
 
 
 class TestUniformKernel:

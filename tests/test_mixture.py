@@ -14,10 +14,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import i0
 
-from circkde import mixture
+from circkde import kernels, mixture
 from circkde.errors import FitError, ToleranceError
 from circkde.estimators import CircularSample
-from circkde.kernels import DEFAULT_TRUNCATION, FourierTruncation
 from circkde.mixture import (
     FitReport,
     MixtureModel,
@@ -29,7 +28,7 @@ from circkde.mixture import (
     select_aic,
 )
 from circkde.selectors import SelectorConfig, select_dpi, select_rt, select_ste
-from circkde.special import bessel_ratios, inv_bessel_ratio
+from circkde.special import bessel_ratio_span, bessel_ratios, inv_bessel_ratio
 
 em_once = mixture._em_once
 
@@ -460,17 +459,19 @@ class TestPsiFromModel:
             )
 
 
-def _psi_terms_loop(model, s, trunc):
+def _psi_terms_loop(model, s, rel_tol):
     """Frozen term-by-term tail rule of psi_from_model, with one ratio
     table for the coefficients and another for the envelope in each
-    block: the reference for the vectorised rule."""
+    block, within the term limit of kappa's ratio series at growth s: the
+    reference for the vectorised rule."""
+    max_terms = bessel_ratio_span(model.kappa, s)
     terms = []
     envelope_total = 0.0
     consec = 0
     j0 = 1
     block = 64
-    while j0 <= trunc.max_terms:
-        hi = min(j0 + block - 1, trunc.max_terms)
+    while j0 <= max_terms:
+        hi = min(j0 + block - 1, max_terms)
         coeffs = mixture_fourier(model, hi)[j0 - 1 :]
         js = np.arange(j0, hi + 1, dtype=float)
         ratios = bessel_ratios(model.kappa, hi).ratios[j0:]
@@ -479,7 +480,7 @@ def _psi_terms_loop(model, s, trunc):
         for k in range(len(js)):
             terms.append(vals[k])
             envelope_total += env[k]
-            if env[k] <= trunc.rel_tol * max(envelope_total, 1e-300):
+            if env[k] <= rel_tol * max(envelope_total, 1e-300):
                 consec += 1
                 if consec >= 3:
                     return np.array(terms)
@@ -502,29 +503,27 @@ def _tail_rule_models():
 
 class TestPsiTailRule:
     # the symmetric four-component models have harmonics only at multiples
-    # of 4; rel_tol = 1e-200 runs past the first block of every model
-    def test_matches_term_by_term_loop(self):
-        truncs = (
-            DEFAULT_TRUNCATION,
-            FourierTruncation(rel_tol=1e-6, max_terms=100),
-            FourierTruncation(rel_tol=1e-200),
-        )
+    # of 4; a tail rule at 1e-200 runs past the first block of every model
+    # and through the term limit of most
+    @pytest.mark.parametrize("rel_tol", [1e-12, 1e-200])
+    def test_matches_term_by_term_loop(self, rel_tol, monkeypatch):
+        monkeypatch.setattr(kernels, "_TAIL_REL_TOL", rel_tol)
         errors = 0
         for model in _tail_rule_models():
             for s in (0, 2, 4, 6, 8, 10):
-                for trunc in truncs:
-                    try:
-                        expect = _psi_terms_loop(model, s, trunc)
-                    except ToleranceError:
-                        errors += 1
-                        with pytest.raises(ToleranceError):
-                            _psi_terms(model, s, trunc)
-                        continue
-                    got = _psi_terms(model, s, trunc)
-                    assert len(got) == len(expect), (model, s, trunc)
-                    assert np.array_equal(got, expect), (model, s, trunc)
-                    sign = -1.0 if s % 4 == 2 else 1.0
-                    base = 1.0 / (2.0 * np.pi) if s == 0 else 0.0
-                    value = base + sign * math.fsum(expect) / np.pi
-                    assert psi_from_model(model, s, trunc) == value
-        assert errors > 0  # the budget-exhaustion path is exercised
+                try:
+                    expect = _psi_terms_loop(model, s, rel_tol)
+                except ToleranceError:
+                    errors += 1
+                    with pytest.raises(ToleranceError):
+                        _psi_terms(model, s)
+                    continue
+                got = _psi_terms(model, s)
+                assert len(got) == len(expect), (model, s)
+                assert np.array_equal(got, expect), (model, s)
+                sign = -1.0 if s % 4 == 2 else 1.0
+                base = 1.0 / (2.0 * np.pi) if s == 0 else 0.0
+                value = base + sign * math.fsum(expect) / np.pi
+                assert psi_from_model(model, s) == value
+        # at the tail rule's own tolerance no series outgrows its limit
+        assert (errors > 0) == (rel_tol == 1e-200)

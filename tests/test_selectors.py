@@ -18,7 +18,7 @@ from scipy.optimize import brentq, minimize_scalar
 from scipy.special import i0e
 
 from circkde.cli import AngleFormat, IngestSpec, read_angles
-from circkde.errors import ToleranceError, UnsupportedKernelError
+from circkde.errors import UnsupportedKernelError
 from circkde.estimators import CircularSample, _kde_rows, ise, kde, kde_values, psi_hat
 from circkde.kernels import (
     UNIFORM_BANDWIDTH,
@@ -674,9 +674,9 @@ class TestCertifiedPrescan:
         self._assert_same(*self._both(CircularSample.from_data(angles), cfg, monkeypatch))
 
     @pytest.mark.parametrize("n, seed", [(300, 20), (1000, 64)])
-    def test_widened_prescan_matches_full_scan(self, n, seed, monkeypatch):
-        # uniform draws without a root in the bracket, whose widened
-        # prescan runs to its end
+    def test_uniform_draws_without_sign_change_match_full_scan(self, n, seed, monkeypatch):
+        # uniform draws without a root in the bracket, whose prescan runs
+        # to its end before the plug-in cascade takes over
         model = {m.name: m for m in builtin_models()}["U"]
         sample = model.sampler(np.random.default_rng(np.random.SeedSequence([seed, 0])), n)
         certified, plain = self._both(sample, SelectorConfig(), monkeypatch)
@@ -710,13 +710,7 @@ class TestCertifiedPrescan:
         _, plugin = gap
         xs = []
         for h in np.geomspace(*selectors._STE_BRACKET, 32):
-            try:
-                x = plugin(h)
-            except ToleranceError:
-                # only the narrowest pilots can outgrow the series' term
-                # limit, so no later point has failed
-                assert xs == []
-                continue
+            x = plugin(h)
             xs.append(math.inf if x is None else x)
         # no finite plug-in bandwidth (a uniform pilot) stands for +inf
         assert all(b >= a for a, b in zip(xs, xs[1:]))
@@ -1394,15 +1388,17 @@ class TestSmallSamples:
 
 
 
-@functools.lru_cache(maxsize=1)
-def concentrated_angles():
-    """100 angles from a von Mises of kappa 1e6 about 0.5."""
-    return np.random.default_rng(1).vonmises(0.5, 1e6, 100)
+@functools.lru_cache(maxsize=2)
+def concentrated_angles(kappa=1e6):
+    """100 angles from a von Mises of concentration kappa about 0.5."""
+    return np.random.default_rng(1).vonmises(0.5, kappa, 100)
 
 
 class TestConcentratedSample:
     """Every selector at kappa = 1e6, pinned to the values of the code
-    before trig_moments ran the NUFFT at every sample size."""
+    before trig_moments ran the NUFFT at every sample size; DPI and STE
+    pinned to their first selections with pilot series whose lengths
+    follow the pilot kernel."""
 
     def test_rt(self):
         sel = select_rt(CircularSample.from_data(concentrated_angles()), SelectorConfig())
@@ -1426,11 +1422,27 @@ class TestConcentratedSample:
         assert sel.nu == default_gold_grid(VM)[-1]
         assert sel.nu == pytest.approx(0.999949998749875, rel=1e-9)
 
-    @pytest.mark.parametrize("name, reason", [("dpi", "cascade-error"), ("ste", "numeric-error")])
-    def test_plug_in_rules_fall_back(self, name, reason):
-        # the s = 6 pilot's coefficient series does not meet its tolerance
-        # within the truncation's term limit
+    @pytest.mark.parametrize("name", ["dpi", "ste"])
+    def test_plug_in_rules_select(self, name):
+        # the s = 6 pilot's series runs past 10 000 terms
         sample = CircularSample.from_data(concentrated_angles())
+        sel = selectors.SELECTORS[name](sample, SelectorConfig())
+        assert not sel.fallback_uniform
+        assert sel.nu == pytest.approx(0.9999998884803909, rel=1e-9)
+        labels = [t.label for t in sel.trace]
+        assert labels[-1] == "final"
+        if name == "ste":
+            # the root lies below the bracket, so the plug-in cascade gives
+            # the bandwidth, and the selections agree
+            assert any(label.startswith("fallback:no-sign-change:") for label in labels)
+
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("rt", "reference-fit"), ("dpi", "cascade-error"), ("ste", "numeric-error")],
+    )
+    def test_reference_fit_past_the_kappa_cap_falls_back(self, name, reason):
+        # at kappa = 1e8 every EM run passes mixture._KAPPA_CAP
+        sample = CircularSample.from_data(concentrated_angles(1e8))
         sel = selectors.SELECTORS[name](sample, SelectorConfig())
         assert sel.fallback_uniform
         assert sel.nu == 0.0 and sel.h == UNIFORM_BANDWIDTH

@@ -17,9 +17,9 @@ from scipy.special import iv, ive, spence
 
 from circkde import special
 from circkde.errors import BracketingError, ToleranceError
+from circkde.kernels import KernelSpec
 from circkde.special import (
     _RATIO_ASYMPTOTIC_KAPPA,
-    QuadratureConfig,
     _ratio_prefix,
     bessel_ratio,
     bessel_ratios,
@@ -97,6 +97,26 @@ class TestInvBesselRatio:
 
     def test_zero_maps_to_zero(self):
         assert inv_bessel_ratio(0.0) == 0.0
+
+    @pytest.mark.parametrize("e", range(6, 13))
+    def test_near_one(self, e):
+        # the slope 1 - A/kappa - A^2 cancels to 0.0 near kappa = 1e8
+        nu = 1.0 - 10.0**-e
+        kappa = inv_bessel_ratio(nu)
+        assert bessel_ratio(kappa, 1) == pytest.approx(nu, rel=0.0, abs=2.3e-16)
+        # 1 - I_1/I_0 = 1/(2 kappa) + 1/(8 kappa^2) + ..., and a rounding
+        # of the ratio moves kappa by about 2 kappa^2 ulp(1)
+        gap = 1.0 - nu
+        assert kappa == pytest.approx(0.5 / gap + 0.25, rel=1e-15 / gap)
+        assert KernelSpec.vonmises(nu=nu).kappa == kappa
+
+    def test_series_slope_matches_the_difference_form(self, monkeypatch):
+        # where both are accurate, the derivative of the asymptotic series
+        # is the slope 1 - A/kappa - A^2
+        monkeypatch.setattr(special, "_SLOPE_SERIES_KAPPA", _RATIO_ASYMPTOTIC_KAPPA)
+        for kappa in np.geomspace(_RATIO_ASYMPTOTIC_KAPPA, 1e5, 50):
+            a, slope = special._ratio_and_derivative(kappa)
+            assert slope == pytest.approx(1.0 - a / kappa - a * a, rel=1e-5)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -339,12 +359,14 @@ class TestIntegrateCircle:
         value = integrate_circle(lambda t: t * t)
         assert value == pytest.approx(2 * np.pi**3 / 3, rel=1e-10)
 
-    def test_budget_exhaustion_raises_with_estimate(self):
+    def test_budget_exhaustion_raises_with_estimate(self, monkeypatch):
+        monkeypatch.setattr(special, "_QUAD_ABS_TOL", 1e-12)
+        monkeypatch.setattr(special, "_QUAD_LIMIT", 2)
         kappa = 1e6
         norm = 2 * np.pi * ive(0, kappa)
         peaked = lambda t: np.exp(kappa * (np.cos(t) - 1.0)) / norm
         with pytest.raises(ToleranceError) as err:
-            integrate_circle(peaked, QuadratureConfig(abs_tol=1e-12, max_subdivisions=2))
+            integrate_circle(peaked)
         assert err.value.estimate is not None
 
 

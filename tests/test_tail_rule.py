@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circkde.errors import ToleranceError
-from circkde.kernels import FourierTruncation, _tail_rule, _tail_series
+from circkde.kernels import _tail_rule, _tail_series
 
 REL_TOL = 1e-12
 
@@ -58,17 +58,17 @@ def chunked_stop(terms, rel_tol, cuts):
     return None, carried
 
 
-def series_stop(terms, rel_tol, first_block, max_terms):
-    """The number of terms _tail_series keeps, or None when it raises."""
+def series_stop(terms, first_block, max_terms):
+    """The index of the last term _tail_series keeps (its rule runs at
+    REL_TOL), or None when it raises."""
     arr = np.array(terms)
 
     def block_terms(j0, hi):
         c = arr[j0 - 1 : hi]
         return c, c
 
-    trunc = FourierTruncation(rel_tol=rel_tol, max_terms=max_terms)
     try:
-        out = _tail_series(block_terms, first_block, trunc, "test series")
+        out = _tail_series(block_terms, first_block, max_terms, "test series")
     except ToleranceError:
         return None
     assert np.array_equal(out, arr[: len(out)])
@@ -92,7 +92,7 @@ class TestTailRule:
         # the budget may end anywhere inside the terms, or at their end
         max_terms = min(max_terms, len(terms))
         expect = reference_stop(terms, REL_TOL, max_terms)
-        assert series_stop(terms, REL_TOL, first_block, max_terms) == expect
+        assert series_stop(terms, first_block, max_terms) == expect
 
     @pytest.mark.parametrize("carry", [1, 2])
     def test_carried_run_completes_in_the_next_block(self, carry):
@@ -117,7 +117,7 @@ class TestTailRule:
         assert stop == 0
         # zeros at the start of a series are small against the 1e-300 floor
         assert reference_stop([0.0] * 4, REL_TOL, 4) == 2
-        assert series_stop([0.0] * 4, REL_TOL, 1, 4) == 2
+        assert series_stop([0.0] * 4, 1, 4) == 2
 
     def test_short_block_carries_sum_and_run(self):
         stop, total, consec = _tail_rule(np.array([1.0, 0.5]), 2.0, 0, REL_TOL)
@@ -130,8 +130,8 @@ class TestTailRule:
         terms = [1.0, 1e-13, 1e-13, 1.0] * 10
         assert reference_stop(terms, REL_TOL, len(terms)) is None
         for first_block in (1, 3, 64):
-            assert series_stop(terms, REL_TOL, first_block, len(terms)) is None
-        # the budget ends just before the run that would have stopped it
+            assert series_stop(terms, first_block, len(terms)) is None
+        # the limit ends just before the run that would have stopped it
         terms = [1.0] * 6 + [1e-13] * 3
-        assert series_stop(terms, REL_TOL, 2, 8) is None
-        assert series_stop(terms, REL_TOL, 2, 9) == 8
+        assert series_stop(terms, 2, 8) is None
+        assert series_stop(terms, 2, 9) == 8
