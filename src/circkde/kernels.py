@@ -69,9 +69,9 @@ class KernelFamily(str, enum.Enum):
 # the tail rule: stop once three terms in a row are at most this fraction
 # of the running sum of |terms|
 _TAIL_REL_TOL = 1e-12
-# the wrapped Epanechnikov's coefficients decay like j^-2, so no caller sums
-# its series; j^r alpha_j, r >= 0, raises after this many terms
-_EPANECHNIKOV_TERMS = 10000
+# a memory guard on every series (8 MB of terms) for kernels forced with nu
+# near 1; the widest selector pilot measured (n = 1e6) needs 34 842 terms
+_MAX_TERMS = 2**20
 
 
 class _UniformFallback:
@@ -132,9 +132,7 @@ class KernelSpec:
         if (kappa is None) == (nu is None):
             raise ValueError("give exactly one of kappa or nu")
         if kappa is None:
-            if not 0.0 <= nu < 1.0:
-                raise ValueError(f"nu must be in [0, 1), got {nu}")
-            kappa = inv_bessel_ratio(nu)
+            kappa = inv_bessel_ratio(nu)  # ValueError outside [0, 1)
         else:
             if kappa < 0:
                 raise ValueError(f"kappa must be nonnegative, got {kappa}")
@@ -262,8 +260,12 @@ def _tail_series(block_terms, first_block, max_terms, what):
     j0..hi; the rule runs on the envelope, and the terms are kept up to
     the order where it stops.  Blocks start at ``first_block`` orders and
     double up to 4096.  Raises ToleranceError, naming ``what``, when the
-    rule has not stopped within ``max_terms`` orders.
+    rule has not stopped within min(max_terms, _MAX_TERMS) orders, or at
+    once when the first block (a ratio table's span) passes _MAX_TERMS.
     """
+    if first_block > _MAX_TERMS:
+        raise ToleranceError(f"{what} needs more than {_MAX_TERMS} terms")
+    max_terms = min(max_terms, _MAX_TERMS)
     out = []
     total = 0.0
     consec = 0
@@ -295,11 +297,11 @@ def _term_limit(spec, growth):
     if fam == KernelFamily.WRAPPEDNORMAL:  # nu^(j^2) = exp(-j^2 / (2 kappa))
         return bessel_ratio_span(-0.5 / math.log(spec.nu), growth)
     if fam == KernelFamily.WRAPPEDCAUCHY:
-        # j^g nu^j <= 2^g nu^(j/2) max_x x^g nu^x: below about exp(-50) of
-        # the largest term from (100 + 2 g ln 2) / |ln nu| on
+        # j^g nu^j <= 2^g nu^(j/2) max_x x^g nu^x, below e^-50 of the peak here
         g = max(growth, 0)
         return max(64, math.ceil((100.0 + 2.0 * g * math.log(2.0)) / -math.log(spec.nu)))
-    return _EPANECHNIKOV_TERMS
+    # wrapped Epanechnikov: alpha_j ~ j^-2, summed by no caller; raises past this
+    return 10000
 
 
 @lru_cache(maxsize=4096)

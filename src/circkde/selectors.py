@@ -61,9 +61,9 @@ __all__ = [
 ]
 
 _PILOT_FAMILIES = (KernelFamily.VONMISES, KernelFamily.WRAPPEDNORMAL)
-# bandwidth bracket and tolerance of the solve-the-equation root; its lower
-# end and EM's kappa cap (1e6) bound the pilots: on a kappa = 5e5, n = 1e4
-# sample the narrowest has kappa 4.6e6 and a 15 679-term series
+# bandwidth bracket and tolerance of the solve-the-equation root.  Pilots
+# narrow as n grows: on kappa 5e5-7e5 samples the widest has kappa 4.6e6 and
+# 15 679 terms at n = 1e4, and kappa 2.4e7 and 34 842 terms at n = 1e6
 _STE_BRACKET = (1e-6, UNIFORM_BANDWIDTH - 1e-6)
 _STE_TOL = 1e-8
 # numeric failures that downgrade a selector to the uniform fallback

@@ -49,8 +49,6 @@ __all__ = [
     "find_root",
 ]
 
-_TWO_PI = 2.0 * np.pi
-
 
 @dataclass(frozen=True)
 class BesselRatioTable:

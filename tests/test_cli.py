@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import numpy as np
@@ -272,6 +273,26 @@ class TestDensityCommand:
         argv = ["density", CRASH_CSV, "--format", "hhmm", "--column", "time"]
         assert main(argv + ["--kernel", "bogus", "--nu", "0.3"]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "usage"
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            ["--kernel", "wrappedcauchy", "--nu", "0.9999999999", "--deriv-order", "1"],
+            ["--kernel", "wrappednormal", "--nu", "0.999999999999999"],
+            ["--kernel", "vonmises", "--nu", "0.99999999999999", "--deriv-order", "1"],
+        ],
+        ids=["wrappedcauchy", "wrappednormal", "vonmises"],
+    )
+    def test_forced_nu_too_near_one_is_a_quick_json_error(self, capsys, kernel):
+        # these series would run past 2^20 terms (a wrapped Cauchy at
+        # nu = 1 - 1e-10 to about 1e12): they raise at the memory guard
+        argv = ["density", CRASH_CSV, "--format", "hhmm", "--column", "time"]
+        start = time.perf_counter()
+        assert main(argv + kernel) == 1
+        assert time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "ToleranceError"
 
 
 class TestModesCommand:

@@ -36,7 +36,7 @@ from circkde.kernels import (
     wrap_angle,
 )
 from circkde.kernels import _alpha_block, _series_weights, _term_limit
-from circkde.special import bessel_ratio_span
+from circkde.special import _ratio_prefix, bessel_ratio_span
 from circkde.estimators import CircularSample, kde_values
 
 ALL_FAMILIES = list(KernelFamily)
@@ -684,6 +684,23 @@ class TestTermLimits:
         spec = KernelSpec.vonmises(kappa=kappa)
         weights = _series_weights.__wrapped__(spec, 30, 1)
         assert bessel_ratio_span(kappa) < len(weights) <= bessel_ratio_span(kappa, 30)
+
+    def test_no_series_passes_the_memory_guard(self):
+        # kernels forced with nu near 1 have limits far past 2^20 terms: a
+        # von Mises raises before it builds its 1e8-entry ratio table, a
+        # wrapped Cauchy or wrapped normal once 2^20 terms are summed
+        tables = _ratio_prefix.cache_info().misses
+        with pytest.raises(ToleranceError, match="needs more than 1048576 terms"):
+            _series_weights.__wrapped__(KernelSpec.vonmises(kappa=1e14), 1, 1)
+        assert _ratio_prefix.cache_info().misses == tables
+        near_one = (KernelSpec.wrapped_cauchy(1.0 - 1e-10), KernelSpec.wrapped_normal(1.0 - 1e-15))
+        for spec in near_one:
+            assert _term_limit(spec, 1) > 2**20
+            with pytest.raises(ToleranceError, match="within 1048576 terms"):
+                _series_weights.__wrapped__(spec, 1, 1)
+        # below the guard a series may pass the old flat 10 000 terms
+        weights = _series_weights.__wrapped__(KernelSpec.vonmises(kappa=1e9), 0, 1)
+        assert 10000 < len(weights) <= 2**20
 
 
 class TestUniformKernel:
