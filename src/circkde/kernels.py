@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ToleranceError, UnsupportedKernelError
 from .special import (
+    _MAX_TERMS,
     _ratio_table,
     bessel_ratio,
     bessel_ratio_span,
@@ -69,9 +70,6 @@ class KernelFamily(str, enum.Enum):
 # the tail rule: stop once three terms in a row are at most this fraction
 # of the running sum of |terms|
 _TAIL_REL_TOL = 1e-12
-# a memory guard on every series (8 MB of terms) for kernels forced with nu
-# near 1; the widest selector pilot measured (n = 1e6) needs 34 842 terms
-_MAX_TERMS = 2**20
 
 
 class _UniformFallback:
@@ -260,8 +258,10 @@ def _tail_series(block_terms, first_block, max_terms, what):
     j0..hi; the rule runs on the envelope, and the terms are kept up to
     the order where it stops.  Blocks start at ``first_block`` orders and
     double up to 4096.  Raises ToleranceError, naming ``what``, when the
-    rule has not stopped within min(max_terms, _MAX_TERMS) orders, or at
-    once when the first block (a ratio table's span) passes _MAX_TERMS.
+    rule has not stopped within min(max_terms, _MAX_TERMS) orders, at once
+    when the first block (a ratio table's span) passes _MAX_TERMS, and as
+    soon as a block's running total leaves the float range (j^growth
+    overflows near growth 77 for kappa >= 1e4).
     """
     if first_block > _MAX_TERMS:
         raise ToleranceError(f"{what} needs more than {_MAX_TERMS} terms")
@@ -273,8 +273,12 @@ def _tail_series(block_terms, first_block, max_terms, what):
     block = first_block
     while j0 <= max_terms:
         hi = min(j0 + block - 1, max_terms)
-        terms, envelope = block_terms(j0, hi)
+        # an overflow shows as a total that is not finite, checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms, envelope = block_terms(j0, hi)
         stop, total, consec = _tail_rule(envelope, total, consec, _TAIL_REL_TOL)
+        if not math.isfinite(total):
+            raise ToleranceError(f"{what} leaves the float range")
         if stop is not None:
             # a copy, which holds neither the whole block nor a cached table
             if not out:
@@ -434,21 +438,27 @@ class KernelConstants:
 
 def kernel_constants(family, deriv_order):
     """Asymptotic roughness constants for a kernel family at derivative
-    order r; only von Mises / wrapped normal (any r) and the wrapped
-    Epanechnikov (r = 0, q2 only) admit them."""
+    order r; only von Mises / wrapped normal (r <= 85, past which (2r)!
+    leaves the float range) and the wrapped Epanechnikov (r = 0, q2 only)
+    admit them."""
     family = KernelFamily(family)
     r = deriv_order
     if r < 0:
         raise ValueError(f"deriv_order must be nonnegative, got {r}")
     if family in (KernelFamily.VONMISES, KernelFamily.WRAPPEDNORMAL):
-        q2 = math.factorial(2 * r) / (2 ** (2 * r + 1) * math.factorial(r) * math.sqrt(np.pi))
-        q1 = None
-        if r % 2 == 0:
-            q1 = (
-                (-1.0) ** (r // 2)
-                * math.factorial(r)
-                / (2 ** (r // 2) * math.factorial(r // 2) * math.sqrt(2.0 * np.pi))
-            )
+        try:
+            q2 = math.factorial(2 * r) / (2 ** (2 * r + 1) * math.factorial(r) * math.sqrt(np.pi))
+            q1 = None
+            if r % 2 == 0:
+                q1 = (
+                    (-1.0) ** (r // 2)
+                    * math.factorial(r)
+                    / (2 ** (r // 2) * math.factorial(r // 2) * math.sqrt(2.0 * np.pi))
+                )
+        except OverflowError:  # (2r)! passes the float range from r = 86 on
+            raise UnsupportedKernelError(
+                f"asymptotic constants for deriv_order={r} leave the float range"
+            ) from None
         return KernelConstants(q1=q1, q2=q2)
     if family == KernelFamily.WRAPPEDEPANECHNIKOV and r == 0:
         return KernelConstants(q1=None, q2=3.0 / (5.0 * math.sqrt(5.0)))

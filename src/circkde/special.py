@@ -211,9 +211,17 @@ def _ratio_prefix(kappa, spans):
     return table
 
 
+# a memory guard on every series and ratio table (8 MB of terms) for kernels
+# forced with nu near 1; the widest selector pilot measured (n = 1e6) needs
+# 34 842 terms
+_MAX_TERMS = 2**20
+
+
 def _ratio_table(kappa, max_order):
     # the shortest cached table that reaches max_order, for kappa > 0
     span, spans = bessel_ratio_span(kappa), 1
+    if span > _MAX_TERMS:
+        raise ToleranceError(f"a ratio table at kappa={kappa} needs more than {_MAX_TERMS} orders")
     while span << (spans - 1) < max_order:
         spans += 1
     return _ratio_prefix(kappa, spans)
@@ -241,7 +249,9 @@ def bessel_ratio(kappa, order=1):
     kappa^2) - 1/(8 kappa^3) - 25/(128 kappa^4) - 13/(32 kappa^5).  Higher
     orders are read from the same table as ``bessel_ratios``.  Raises
     ValueError for a negative, NaN or infinite kappa and for an order that
-    is not a nonnegative integer.
+    is not a nonnegative integer, and ToleranceError, before building it,
+    when the table's first span would pass 2^20 orders (kappa above about
+    1.1e10).
     """
     kappa = _concentration(kappa)
     order = _order(order, "order")
@@ -261,6 +271,8 @@ def bessel_ratios(kappa, max_order):
     and the table is their running product.  Tables are cached per kappa
     and grow by whole spans (``bessel_ratio_span``), so an entry does not
     depend on max_order and a kernel's coefficients are computed once.
+    Raises ToleranceError, before building it, when the first span would
+    pass 2^20 orders (kappa above about 1.1e10).
 
     Parameters
     ----------

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -486,6 +487,27 @@ class TestExitCodes:
         err = json.loads(captured.err)["error"]
         assert err["type"] == "usage"
         assert needle in err["message"]
+
+    def test_derivative_order_past_the_float_range_is_a_usage_error(self, tmp_path, capsys):
+        # the kernel's constants at r = 86 need (2r)!, past the float range
+        path = radians_file(tmp_path, vm_angles(0, n=20))
+        assert main(["select", str(path), "--deriv-order", "86"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "usage"
+        assert "float range" in err["message"]
+
+    def test_overflowing_functional_falls_back_without_a_warning(self, capsys):
+        # at r = 85 the reference fit's harmonic series j^178 (a_j^2 + b_j^2)
+        # passes the float range: DPI falls back instead of summing inf terms
+        argv = ["select", CRASH_CSV, "--format", "hhmm", "--column", "time"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--deriv-order", "85"]) == 0
+        sel = json.loads(capsys.readouterr().out)
+        assert sel["fallback_uniform"]
+        assert sel["trace"][-1]["label"] == "fallback:cascade-error"
 
     def test_console_script_runs(self, tmp_path):
         path = radians_file(tmp_path, vm_angles(0, n=50))

@@ -11,6 +11,7 @@ Oracles used here, independent of the implementation under test:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -342,6 +343,15 @@ class TestKernelConstants:
             kernel_constants("cardioid", 2)
         with pytest.raises(UnsupportedKernelError):
             kernel_constants("wrappedepanechnikov", 1)
+
+    def test_orders_past_the_float_range_are_unsupported(self):
+        # (2r)! passes the float range at r = 86; below it the constants
+        # keep the arithmetic of the closed forms
+        q2 = math.factorial(170) / (2**171 * math.factorial(85) * math.sqrt(np.pi))
+        assert kernel_constants("vonmises", 85).q2 == q2
+        for family in ("vonmises", "wrappednormal"):
+            with pytest.raises(UnsupportedKernelError, match="float range"):
+                kernel_constants(family, 86)
 
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_q2_is_the_small_bandwidth_roughness_limit(self, r):
@@ -701,6 +711,14 @@ class TestTermLimits:
         # below the guard a series may pass the old flat 10 000 terms
         weights = _series_weights.__wrapped__(KernelSpec.vonmises(kappa=1e9), 0, 1)
         assert 10000 < len(weights) <= 2**20
+
+    def test_overflowing_series_raises_without_a_warning(self):
+        # j^100 passes 1e308 near j = 1200, inside this kernel's term limit;
+        # the inf terms used to end the tail rule and reach the caller
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToleranceError, match="leaves the float range"):
+                derivative_weights(KernelSpec.vonmises(kappa=1e4), 100)
 
 
 class TestUniformKernel:

@@ -8,6 +8,7 @@ and adaptive quadrature for the density functionals.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -389,6 +390,14 @@ class TestMixtureDensity:
 
 
 class TestPsiFromModel:
+    def test_overflowing_harmonic_series_raises_without_a_warning(self):
+        # j^180 passes 1e308 from j = 52, inside the first block
+        model = MixtureModel(1, np.array([0.0]), 2.0, np.array([1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToleranceError, match="leaves the float range"):
+                psi_from_model(model, 180)
+
     def test_uniform_values(self):
         model = MixtureModel(1, np.array([0.0]), 0.0, np.array([1.0]))
         assert psi_from_model(model, 0) == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-14)

@@ -114,6 +114,8 @@ class TestSelectorConfig:
     def test_rejects_bad_scalars(self):
         with pytest.raises(ValueError):
             SelectorConfig(r=-1)
+        with pytest.raises(ValueError, match="float range"):
+            SelectorConfig(r=86)  # (2r)! of the kernel's constant overflows
         with pytest.raises(ValueError):
             SelectorConfig(nstage=0)
         with pytest.raises(ValueError):
@@ -290,6 +292,18 @@ class TestDirectPlugIn:
             "final",
         ]
         assert not sel.fallback_uniform
+
+    @pytest.mark.parametrize(
+        "selector, reason", [(select_dpi, "cascade-error"), (select_ste, "numeric-error")]
+    )
+    def test_orders_past_the_float_range_fall_back(self, selector, reason):
+        # at r = 48 the pilot constant of order s = 102 needs (2s)!, past the
+        # float range; r = 35 still selects
+        s = CircularSample.from_data(np.random.default_rng(0).vonmises(0.0, 50.0, 500))
+        assert not selector(s, SelectorConfig(r=35)).fallback_uniform
+        sel = selector(s, SelectorConfig(r=48))
+        assert sel.fallback_uniform
+        assert sel.trace[-1].label == f"fallback:{reason}"
 
     def test_matches_manual_cascade(self):
         s = vm_sample(3, n=300)
@@ -1292,8 +1306,8 @@ class TestSerialization:
 
 @functools.lru_cache(maxsize=1)
 def large_vm_mix3_angles():
-    """One fixed n = 1e5 VM-MIX3 sample, the one scripts/bench_moments.py
-    times at that size."""
+    """One fixed n = 1e5 VM-MIX3 sample, the one that BENCH_moments.json
+    and BENCH_window.json time at that size."""
     model = {m.name: m for m in builtin_models()}["VM-MIX3"]
     rng = np.random.default_rng(np.random.SeedSequence([20221, 100_000]))
     return model.sampler(rng, 100_000).angles

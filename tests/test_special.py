@@ -272,6 +272,26 @@ class TestBesselEdgeCases:
         # I_j / I_0 ~ exp(-j^2 / (2 kappa)) for j << kappa
         assert table[3000] == pytest.approx(math.exp(-(3000**2) / 2e6), rel=1e-2)
 
+    def test_tables_stop_at_the_memory_guard(self):
+        # the first span at kappa = 1e13 has about 3.2e7 orders, past 2^20:
+        # higher orders raise before any table is built; order 1 needs none
+        tables = _ratio_prefix.cache_info().misses
+        with pytest.raises(ToleranceError, match="more than 1048576 orders"):
+            bessel_ratio(1e13, 2)
+        with pytest.raises(ToleranceError, match="more than 1048576 orders"):
+            bessel_ratios(1e13, 5)
+        assert _ratio_prefix.cache_info().misses == tables
+        assert bessel_ratio(1e13, 1) == 0.99999999999995
+        # a span of 1e6 orders is inside the guard: the values it had before
+        assert list(bessel_ratios(1e10, 5).ratios) == [
+            1.0,
+            0.9999999999499848,
+            0.9999999998000001,
+            0.9999999995499849,
+            0.9999999992000002,
+            0.9999999987499849,
+        ]
+
     def test_order_zero(self):
         table = bessel_ratios(3.0, 0)
         assert table.max_order == 0
