@@ -159,6 +159,10 @@ def read_angles(ingest):
             col_index = int(ingest.column)
         except ValueError:
             header_pending = True
+        if col_index is not None and col_index < 0:
+            raise CliError(
+                "usage", f"column index must be nonnegative, got {col_index}", exit_code=2
+            )
 
     angles = []
     for lineno, line in enumerate(raw, start=1):

@@ -72,21 +72,17 @@ class KernelFamily(str, enum.Enum):
 _TAIL_REL_TOL = 1e-12
 
 
-class _UniformFallback:
-    """Sentinel returned when a requested bandwidth is at least as wide as
-    the uniform density can provide; consumers treat it as nu = 0."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "UNIFORM_FALLBACK"
-
-
-UNIFORM_FALLBACK = _UniformFallback()
+# The uniform answer as a bandwidth: h = inf, where a plug-in formula has no
+# finite optimum.  concentration_from_bandwidth turns it into the family's
+# uniform kernel, KernelSpec.from_nu(family, 0.0).
+UNIFORM_FALLBACK = math.inf
 
 
 def is_uniform_fallback(obj):
-    return obj is UNIFORM_FALLBACK
+    """True for the bandwidth h = inf or a kernel at nu = 0."""
+    if isinstance(obj, KernelSpec):
+        return obj.nu == 0.0
+    return obj == UNIFORM_FALLBACK
 
 
 def wrap_angle(theta):
@@ -501,20 +497,21 @@ def concentration_from_bandwidth(family, h, exact=False):
     Epanechnikov lam = sqrt(5h)); families without a published asymptotic
     inversion fall through to the exact solve.  With ``exact`` the
     bandwidth functional itself is inverted by bracketed root finding.
-    Bandwidths at least as wide as the uniform density's (or beyond the
-    family's reachable range) return UNIFORM_FALLBACK.
+    Bandwidths at least as wide as the uniform density's, h = inf
+    included (or beyond the family's reachable range), return the
+    family's uniform kernel, KernelSpec.from_nu(family, 0.0).
     """
     family = KernelFamily(family)
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
     if h >= UNIFORM_BANDWIDTH:
-        return UNIFORM_FALLBACK
+        return KernelSpec.from_nu(family, 0.0)
 
     if family == KernelFamily.WRAPPEDEPANECHNIKOV:
         # exact and asymptotic coincide: h = lam^2 / 5 on lam <= pi
         lam = math.sqrt(5.0 * h)
         if lam >= np.pi:
-            return UNIFORM_FALLBACK
+            return KernelSpec.from_nu(family, 0.0)
         return KernelSpec.wrapped_epanechnikov(lam=lam)
     if family == KernelFamily.CARDIOID:
         # h = pi^2/3 - 4 nu, reachable only down to pi^2/3 - 2
@@ -528,7 +525,7 @@ def concentration_from_bandwidth(family, h, exact=False):
             return KernelSpec.vonmises(kappa=1.0 / h)
         if family == KernelFamily.WRAPPEDNORMAL:
             if h >= 0.5:
-                return UNIFORM_FALLBACK
+                return KernelSpec.from_nu(family, 0.0)
             return KernelSpec.wrapped_normal((1.0 - 2.0 * h) ** 0.25)
         # no published asymptotic inversion for the wrapped Cauchy
         return _exact_solve_in_nu(family, h)

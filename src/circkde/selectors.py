@@ -2,10 +2,11 @@
 
 Five selectors share one result type:
 
-  * rule of thumb (RT): a single fitted von Mises supplies the unknown
-    density functional in the optimal-bandwidth formula
-  * direct plug-in (DPI): the functional is estimated from the data
-    through a cascade of pilot kernels, seeded by an AIC-chosen mixture
+  * direct plug-in (DPI): the functional in the optimal-bandwidth
+    formula is estimated from the data through a cascade of pilot
+    kernels, seeded by an AIC-chosen mixture
+  * rule of thumb (RT): the same cascade at zero pilot stages, so a
+    single fitted von Mises supplies the functional
   * solve-the-equation (STE): the pilot concentration is tied to the
     final bandwidth through a function gamma, and the bandwidth solves a
     fixed-point equation
@@ -22,7 +23,7 @@ any fallback reason.
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -31,16 +32,14 @@ from .errors import BracketingError, FitError, ToleranceError, UnsupportedKernel
 from .estimators import _kde_rows, grid_ise, ise_weights, kde_values, psi_hat
 from .kernels import (
     UNIFORM_BANDWIDTH,
-    UNIFORM_FALLBACK,
     KernelFamily,
     KernelSpec,
     bandwidth,
     concentration_from_bandwidth,
-    is_uniform_fallback,
     kernel_constants,
     roughness,
 )
-from .mixture import fit_em, psi_from_model, select_aic
+from .mixture import psi_from_model, select_aic
 from .special import find_root
 
 __all__ = [
@@ -110,6 +109,8 @@ class SelectorConfig:
             raise ValueError(f"nstage must be positive, got {self.nstage}")
         if self.M_max < 1:
             raise ValueError(f"M_max must be positive, got {self.M_max}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -132,24 +133,7 @@ class SmoothingSelection:
     trace: tuple = field(default=())
 
     def to_json(self):
-        return json.dumps(
-            {
-                "nu": self.nu,
-                "h": self.h,
-                "kappa_or_lambda": self.kappa_or_lambda,
-                "method": self.method.value,
-                "fallback_uniform": self.fallback_uniform,
-                "trace": [
-                    {
-                        "label": t.label,
-                        "psi": t.psi,
-                        "pilot_h": t.pilot_h,
-                        "pilot_nu": t.pilot_nu,
-                    }
-                    for t in self.trace
-                ],
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def amise_value(h, psi_2r4, n, family, r):
@@ -164,13 +148,13 @@ def amise_value(h, psi_2r4, n, family, r):
 def optimal_h_amise(psi_2r4, n, family, r):
     """Bandwidth minimizing the asymptotic MISE given psi_{2r+4}.
 
-    Returns the uniform fallback signal when the functional has the wrong
-    sign (the truth looks uniform)."""
+    Returns math.inf when the functional has the wrong sign or vanishes
+    (the truth looks uniform)."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     denom = n * (-1.0) ** r * psi_2r4
     if denom <= 0.0:
-        return UNIFORM_FALLBACK
+        return math.inf
     q2 = kernel_constants(family, r).q2
     return ((2 * r + 1) * q2 / denom) ** (2.0 / (2 * r + 5))
 
@@ -178,7 +162,7 @@ def optimal_h_amise(psi_2r4, n, family, r):
 def pilot_h_amse(psi_s2, n, family, s):
     """Pilot bandwidth minimizing the asymptotic MSE of psi_hat at order s,
     given psi_{s+2}.  The sign conditions make the base positive; a
-    wrong-signed or vanishing input yields the uniform fallback signal."""
+    wrong-signed or vanishing input yields math.inf."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if s < 0 or s % 2 != 0:
@@ -186,7 +170,7 @@ def pilot_h_amse(psi_s2, n, family, s):
     q1 = kernel_constants(family, s).q1
     base = -2.0 * q1 / (n * psi_s2) if psi_s2 != 0.0 else -1.0
     if base <= 0.0:
-        return UNIFORM_FALLBACK
+        return math.inf
     return base ** (2.0 / (s + 3))
 
 
@@ -211,21 +195,19 @@ def _fallback(cfg, method, trace, reason):
 
 def _finalize(h_target, cfg, method, trace):
     """Invert the target bandwidth for the final kernel and package up."""
-    if is_uniform_fallback(h_target):
+    if h_target == math.inf:
         return _fallback(cfg, method, trace, "uniform-functional")
     spec = concentration_from_bandwidth(
         cfg.kernel_family, float(h_target), exact=cfg.exact_inversion
     )
-    if is_uniform_fallback(spec):
+    if spec.nu == 0.0:
         return _fallback(cfg, method, trace, "bandwidth-at-uniform")
     final = TraceEntry(label="final", pilot_h=float(h_target), pilot_nu=spec.nu)
     return _selection(method, spec, [*trace, final])
 
 
-def _pilot_spec(cfg, pilot_h):
-    """Pilot kernel at the given bandwidth, or the fallback sentinel."""
-    if is_uniform_fallback(pilot_h):
-        return pilot_h
+def _pilot(cfg, pilot_h):
+    """Pilot kernel at the given bandwidth; uniform (nu = 0) at h = inf."""
     return concentration_from_bandwidth(
         cfg.pilot_family, float(pilot_h), exact=cfg.exact_inversion
     )
@@ -236,32 +218,20 @@ def _require_two(sample, what):
         raise ValueError(f"{what} needs at least 2 observations")
 
 
-def select_rt(sample, cfg):
-    """Rule of thumb: a one-component von Mises fit stands in for the truth."""
-    _require_two(sample, "the rule of thumb")
-    trace = []
-    try:
-        report = fit_em(sample, 1, seed=cfg.seed)
-        psi = psi_from_model(report.model, 2 * cfg.r + 4)
-    except _SOFT_ERRORS:
-        return _fallback(cfg, SelectorMethod.RT, trace, "reference-fit")
-    trace.append(TraceEntry(label=f"psi{2 * cfg.r + 4}:reference", psi=psi))
-    h = optimal_h_amise(psi, sample.n, cfg.kernel_family, cfg.r)
-    return _finalize(h, cfg, SelectorMethod.RT, trace)
-
-
-def _dpi_h(sample, cfg, trace):
-    """The plug-in cascade; returns the target bandwidth or the sentinel."""
-    r, l = cfg.r, cfg.nstage
-    report = select_aic(sample, cfg.M_max, seed=cfg.seed)
-    order = 2 * r + 2 * l + 4
+def _dpi_h(sample, cfg, trace, stages, M_max):
+    """The plug-in cascade: the reference functional of the AIC fit of at
+    most M_max components, refined through ``stages`` pilot kernels;
+    returns the target bandwidth, math.inf where it has no finite one."""
+    r = cfg.r
+    report = select_aic(sample, M_max, seed=cfg.seed)
+    order = 2 * r + 2 * stages + 4
     psi = psi_from_model(report.model, order)
     trace.append(TraceEntry(label=f"psi{order}:reference", psi=psi))
-    for s in range(2 * r + 2 * l + 2, 2 * r + 3, -2):
+    for s in range(2 * r + 2 * stages + 2, 2 * r + 3, -2):
         pilot_h = pilot_h_amse(psi, sample.n, cfg.pilot_family, s)
-        pilot = _pilot_spec(cfg, pilot_h)
-        if is_uniform_fallback(pilot):
-            return pilot
+        pilot = _pilot(cfg, pilot_h)
+        if pilot.nu == 0.0:
+            return math.inf
         psi = psi_hat(sample, pilot, s).value
         trace.append(
             TraceEntry(
@@ -274,15 +244,30 @@ def _dpi_h(sample, cfg, trace):
     return optimal_h_amise(psi, sample.n, cfg.kernel_family, r)
 
 
+def _plugin_selection(sample, cfg, method, stages, M_max, reason):
+    """The cascade of _dpi_h, finalized; a numeric failure falls back to
+    the uniform density with the given reason."""
+    trace = []
+    try:
+        h = _dpi_h(sample, cfg, trace, stages, M_max)
+    except _SOFT_ERRORS:
+        return _fallback(cfg, method, trace, reason)
+    return _finalize(h, cfg, method, trace)
+
+
+def select_rt(sample, cfg):
+    """Rule of thumb: the plug-in cascade at zero pilot stages, so a
+    one-component von Mises fit stands in for the truth."""
+    _require_two(sample, "the rule of thumb")
+    return _plugin_selection(sample, cfg, SelectorMethod.RT, 0, 1, "reference-fit")
+
+
 def select_dpi(sample, cfg):
     """Multi-stage direct plug-in selection."""
     _require_two(sample, "direct plug-in")
-    trace = []
-    try:
-        h = _dpi_h(sample, cfg, trace)
-    except _SOFT_ERRORS:
-        return _fallback(cfg, SelectorMethod.DPI, trace, "cascade-error")
-    return _finalize(h, cfg, SelectorMethod.DPI, trace)
+    return _plugin_selection(
+        sample, cfg, SelectorMethod.DPI, cfg.nstage, cfg.M_max, "cascade-error"
+    )
 
 
 def _ste_gap(sample, cfg, trace):
@@ -305,9 +290,9 @@ def _ste_gap(sample, cfg, trace):
     trace.append(TraceEntry(label=f"psi{2 * r + 6}:reference", psi=psi_ref_6))
     trace.append(TraceEntry(label=f"psi{2 * r + 8}:reference", psi=psi_ref_8))
 
-    rho1 = _pilot_spec(cfg, pilot_h_amse(psi_ref_6, n, cfg.pilot_family, 2 * r + 4))
-    rho2 = _pilot_spec(cfg, pilot_h_amse(psi_ref_8, n, cfg.pilot_family, 2 * r + 6))
-    if is_uniform_fallback(rho1) or is_uniform_fallback(rho2):
+    rho1 = _pilot(cfg, pilot_h_amse(psi_ref_6, n, cfg.pilot_family, 2 * r + 4))
+    rho2 = _pilot(cfg, pilot_h_amse(psi_ref_8, n, cfg.pilot_family, 2 * r + 6))
+    if rho1.nu == 0.0 or rho2.nu == 0.0:
         return None
     psi_low = psi_hat(sample, rho1, 2 * r + 4).value
     psi_high = psi_hat(sample, rho2, 2 * r + 6).value
@@ -327,15 +312,14 @@ def _ste_gap(sample, cfg, trace):
 
     def plugin(h):
         if h not in known:
-            x = None
-            pilot = _pilot_spec(cfg, gamma_scale * h**gamma_exp)
+            x = math.inf
+            pilot = _pilot(cfg, gamma_scale * h**gamma_exp)
             # a uniform pilot kills the functional and the implied
             # bandwidth explodes
-            if not is_uniform_fallback(pilot):
-                denom = n * (-1.0) ** r * psi_hat(sample, pilot, 2 * r + 4).value
-                if not denom <= 0.0:
-                    x = ((2 * r + 1) * q2 / denom) ** (2.0 / (2 * r + 5))
-            known[h] = x
+            if pilot.nu > 0.0:
+                psi = psi_hat(sample, pilot, 2 * r + 4).value
+                x = optimal_h_amise(psi, n, cfg.kernel_family, r)
+            known[h] = None if x == math.inf else x
         return known[h]
 
     def g(h):
@@ -373,7 +357,7 @@ def select_ste(sample, cfg):
                 TraceEntry(label=f"fallback:no-sign-change:g_ends=({g_lo:.6g},{g_hi:.6g})")
             )
             dpi_trace = []
-            h = _dpi_h(sample, cfg, dpi_trace)
+            h = _dpi_h(sample, cfg, dpi_trace, cfg.nstage, cfg.M_max)
             trace.extend(dpi_trace)
             return _finalize(h, cfg, SelectorMethod.STE, trace)
         trace.append(TraceEntry(label="ste-residual", psi=abs(g(root)), pilot_h=root))
@@ -463,12 +447,12 @@ def _lcv_candidates(family, hs, exact):
     its bandwidth), their ise_weights matrix (None for a family summed
     directly) and their peak values K(0)."""
     uniform = KernelSpec.from_nu(family, 0.0)
-    specs = []
-    for h in hs:
-        spec = uniform
-        if h < UNIFORM_BANDWIDTH * (1.0 - 1e-12):
-            spec = concentration_from_bandwidth(family, float(h), exact=exact)
-        specs.append(uniform if is_uniform_fallback(spec) else spec)
+    specs = [
+        concentration_from_bandwidth(family, float(h), exact=exact)
+        if h < UNIFORM_BANDWIDTH * (1.0 - 1e-12)
+        else uniform
+        for h in hs
+    ]
     peaks = np.array([roughness(s, 0, 1) for s in specs])
     peaks.flags.writeable = False
     return tuple(specs), ise_weights(specs), peaks
@@ -626,11 +610,9 @@ def default_gold_grid(family):
     nus = [0.0]
     for h in hs[::-1]:
         try:
-            spec = concentration_from_bandwidth(family, float(h))
+            nus.append(concentration_from_bandwidth(family, float(h)).nu)
         except ValueError:  # bandwidth unreachable within the family
             continue
-        if not is_uniform_fallback(spec):
-            nus.append(spec.nu)
     out = np.unique(np.asarray(nus))
     out.flags.writeable = False
     return out

@@ -10,7 +10,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -54,18 +54,7 @@ class SimResult:
     error_count: int = 0
 
     def to_dict(self):
-        return {
-            "model": self.model,
-            "selector": self.selector,
-            "n": self.n,
-            "replicates": self.replicates,
-            "mean_ise": self.mean_ise,
-            "sd_ise": self.sd_ise,
-            "mc_stderr": self.mc_stderr,
-            "seed": self.seed,
-            "fallback_count": self.fallback_count,
-            "error_count": self.error_count,
-        }
+        return asdict(self)
 
 
 def _mixture_model(name, weights, mus, kappa):
@@ -185,7 +174,7 @@ def _format_cell(res):
 
 def emit_table(results, format="markdown"):
     """League table over (model, selector) cells: mean (sd) of ISE x 100 to
-    3 decimals.  Markdown bolds each row's smallest mean."""
+    3 decimals.  Markdown bolds each row's smallest finite mean."""
     results = list(results)
     if not results:
         raise ValueError("no results to tabulate")
@@ -210,10 +199,8 @@ def emit_table(results, format="markdown"):
         lines = ["| model | " + " | ".join(selectors) + " |"]
         lines.append("|" + " --- |" * (len(selectors) + 1))
         for model in models:
-            present = [
-                cells[(model, s)] for s in selectors if (model, s) in cells
-            ]
-            best = min((r.mean_ise for r in present), default=math.inf)
+            means = [cells[(model, s)].mean_ise for s in selectors if (model, s) in cells]
+            best = min(filter(math.isfinite, means), default=None)
             row = [model]
             for sel in selectors:
                 res = cells.get((model, sel))

@@ -98,6 +98,16 @@ class TestIngestion:
         out = read_angles(IngestSpec(path, AngleFormat.RADIANS, column="0"))
         assert list(out) == [0.5, 1.5]
 
+    @pytest.mark.parametrize("column", ["-1", "-5"])
+    def test_negative_column_index_is_a_usage_error(self, tmp_path, capsys, column):
+        path = write_lines(tmp_path / "c.csv", ["0.5,9", "1.5,9"])
+        assert main(["select", path, "--column", column]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "usage"
+        assert column in err["message"]
+
     def test_missing_column_name(self, tmp_path):
         path = write_lines(tmp_path / "c.csv", ["id,when", "1,0.5"])
         with pytest.raises(CliError) as err:
@@ -487,6 +497,16 @@ class TestExitCodes:
         err = json.loads(captured.err)["error"]
         assert err["type"] == "usage"
         assert needle in err["message"]
+
+    @pytest.mark.parametrize("command", ["select", "simulate"])
+    def test_negative_seed_is_a_usage_error(self, capsys, command):
+        inputs = [CRASH_CSV, "--format", "hhmm", "--column", "time"] if command == "select" else []
+        assert main([command, *inputs, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "usage"
+        assert "seed" in err["message"]
 
     def test_derivative_order_past_the_float_range_is_a_usage_error(self, tmp_path, capsys):
         # the kernel's constants at r = 86 need (2r)!, past the float range

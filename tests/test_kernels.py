@@ -423,6 +423,15 @@ class TestInversion:
         # just inside the reachable range
         assert not is_uniform_fallback(concentration_from_bandwidth("wrappednormal", 0.49))
 
+    @pytest.mark.parametrize(
+        "fam, h",
+        [(f, UNIFORM_BANDWIDTH) for f in ALL_FAMILIES]
+        + [(f, math.inf) for f in ALL_FAMILIES]
+        + [("wrappednormal", 0.5), ("wrappedepanechnikov", np.pi**2 / 5.0)],
+    )
+    def test_uniform_bandwidth_gives_the_uniform_kernel(self, fam, h):
+        assert concentration_from_bandwidth(fam, h) == KernelSpec.from_nu(fam, 0.0)
+
     def test_cardioid_unreachable_bandwidth(self):
         with pytest.raises(ValueError):
             concentration_from_bandwidth("cardioid", 1.0)

@@ -120,6 +120,8 @@ class TestSelectorConfig:
             SelectorConfig(nstage=0)
         with pytest.raises(ValueError):
             SelectorConfig(M_max=0)
+        with pytest.raises(ValueError, match="seed"):
+            SelectorConfig(seed=-1)
 
 
 class TestBandwidthFormulas:
@@ -144,6 +146,13 @@ class TestBandwidthFormulas:
         assert is_uniform_fallback(optimal_h_amise(-1.0, 100, VM, 0))
         assert is_uniform_fallback(optimal_h_amise(1.0, 100, VM, 1))
         assert is_uniform_fallback(optimal_h_amise(0.0, 100, VM, 0))
+
+    def test_no_finite_optimum_is_infinite(self):
+        for psi in (-1.0, 0.0):
+            assert optimal_h_amise(psi, 100, VM, 0) == math.inf
+            assert pilot_h_amse(psi, 100, VM, 2) == math.inf
+        assert optimal_h_amise(1.0, 100, VM, 1) == math.inf
+        assert pilot_h_amse(1.0, 100, VM, 0) == math.inf
 
     def test_optimal_h_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -232,6 +241,30 @@ class TestRuleOfThumb:
     def test_trace_labels(self):
         sel = select_rt(vm_sample(1), SelectorConfig())
         assert [t.label for t in sel.trace] == ["psi4:reference", "final"]
+
+    @staticmethod
+    def _count_aic(monkeypatch):
+        calls = []
+
+        def counted(sample, M_max, seed=0):
+            calls.append(M_max)
+            return select_aic(sample, M_max, seed=seed)
+
+        monkeypatch.setattr(selectors, "select_aic", counted)
+        return calls
+
+    def test_reference_is_the_one_component_aic_fit(self, monkeypatch):
+        calls = self._count_aic(monkeypatch)
+        sel = select_rt(vm_sample(1), SelectorConfig(M_max=3))
+        assert calls == [1]
+        assert not sel.fallback_uniform
+
+    def test_identical_angles_keep_reference_fit(self, monkeypatch):
+        calls = self._count_aic(monkeypatch)
+        sel = select_rt(CircularSample.from_data([0.3] * 10), SelectorConfig())
+        assert calls == [1]
+        assert sel.fallback_uniform
+        assert [t.label for t in sel.trace] == ["fallback:reference-fit"]
 
     def test_stored_h_is_bandwidth_of_stored_nu(self):
         sel = select_rt(vm_sample(2), SelectorConfig())

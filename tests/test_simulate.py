@@ -351,6 +351,14 @@ class TestEmitTable:
         assert lines[2] == "| A | 0.200 (0.100) | **0.100 (0.050)** |"
         assert lines[3] == "| B | **0.064 (0.176)** | 0.400 (0.200) |"
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_markdown_bolds_the_best_finite_mean(self, order):
+        # a selector that errored on every replicate has a NaN mean
+        results = [fake_result("A", "rt", math.nan), fake_result("A", "gs", 0.001)][::order]
+        row = emit_table(results, "markdown").strip().split("\n")[2]
+        assert "**0.100 (0.000)**" in row
+        assert row.count("**") == 2
+
     def test_single_result_single_cell(self):
         text = emit_table([fake_result("U", "rt", 0.00123, 0.0004)], "markdown")
         assert "**0.123 (0.040)**" in text
