@@ -8,12 +8,14 @@ one tree, with BLAS pinned to one thread.  The trees alternate for ROUNDS
 rounds, and the tree that goes first alternates from round to round.  In
 each round each tree times these rows, REPEATS[n] calls each:
 
-* ``special``: ``bessel_ratios`` over the first span of the ratio table at
-  each kappa in KAPPAS, and ``inv_bessel_ratio`` at 64 nu from 0.01 to
-  1 - 1e-9;
+* ``special``: ``bessel_ratios`` over the first span of the ratio table
+  and ``bessel_ratio(kappa, 1)`` at each kappa in KAPPAS, and
+  ``inv_bessel_ratio`` at 64 nu from 0.01 to 1 - 1e-9;
 * ``kernels``: ``derivative_weights`` of a von Mises pilot kernel at each
   kappa in KAPPAS, for the pilot orders 4, 6 and 8;
 * ``moments``: ``trig_moments`` of 16, 30 and 960 orders in turn;
+* ``mixture``: ``select_aic`` at ``M_max`` 1, and at ``M_max`` 3 with
+  MIXTURE_REPEATS calls (its EM takes 0.3 to 2.5 s a call);
 * ``estimators``: ``kde`` and ``kde_deriv`` (r = 1) on the 512-point grid
   at the sample's DPI concentration, and select_lcv's 64-row
   leave-one-out table (``estimators._kde_rows``);
@@ -28,11 +30,11 @@ each round each tree times these rows, REPEATS[n] calls each:
   four ``cli-crash`` commands on the tree's bundled crash data, and
   ``select --method dpi`` on a von Mises(0, 2) sample of each size.
 
-The moment, estimator, selector and replicate rows run at each n in SIZES,
-on one VM-MIX2 sample per n (``SeedSequence([20221, n])``), on which no
-selector falls back to the uniform density.  Every row
-also counts the exact ``psi_hat`` calls and the minor page faults of each
-call.  Before each timed call the per-sample caches are cleared
+The moment, mixture, estimator, selector and replicate rows run at each n
+in SIZES, on one VM-MIX2 sample per n (``SeedSequence([20221, n])``), on
+which no selector falls back to the uniform density.  Every row also
+counts the exact ``psi_hat`` calls and the minor page faults of each call.
+Before each timed call the per-sample caches are cleared
 (``kernels._series_weights`` and ``special._ratio_prefix``), and the call
 gets a fresh ``CircularSample``, so it builds its own moments, fits and
 sorted view.  The per-family tables (``selectors._lcv_table``,
@@ -96,12 +98,14 @@ ROUNDS = 10
 # timed calls per row and round, by n; the rows without an n take REPEATS[100]
 REPEATS = {100: 40, 1000: 20, 10000: 8, 100000: 3}
 WE_REPEATS = 3
+MIXTURE_REPEATS = 2
 WE_POOL = 200
 PLAN = {
     "sizes": SIZES,
     "rounds": ROUNDS,
     "repeats": REPEATS,
     "we_repeats": WE_REPEATS,
+    "mixture_repeats": MIXTURE_REPEATS,
     "pools": {
         "mc-zoo": workloads.MC_POOL * len(workloads.MC_MODELS),
         "we": WE_POOL,
@@ -149,6 +153,7 @@ def _rows(plan):
     # circkde is imported only in the benchmark interpreters, each from its tree
     import circkde.estimators as est
     import circkde.kernels as kern
+    import circkde.mixture as mix
     import circkde.selectors as sel
     import circkde.simulate as sim
     import circkde.special as spe
@@ -177,6 +182,7 @@ def _rows(plan):
         case, calls = f"kappa={kappa:g}", repeats[100]
         return [
             ("special.bessel_ratios", case, calls, lambda k: spe.bessel_ratios(kappa, span).ratios),
+            ("special.bessel_ratio", case, calls, lambda k: [spe.bessel_ratio(kappa, 1)]),
             (
                 "kernels.derivative_weights",
                 case,
@@ -203,9 +209,16 @@ def _rows(plan):
             sample = fresh()
             return est._kde_rows(sample, lcv_specs, sample.angles, lcv_weights)
 
+        def aic(m_max):
+            report = mix.select_aic(fresh(), m_max)
+            model = report.model
+            return [*model.mus, *np.ravel(model.kappa), *model.weights, report.loglik]
+
         case, calls = f"n={n}", repeats[n]
         rows = [
             ("moments.chain_16_30_960", case, calls, lambda k: chain()),
+            ("mixture.select_aic", f"{case} M_max=1", calls, lambda k: aic(1)),
+            ("mixture.select_aic", f"{case} M_max=3", plan["mixture_repeats"], lambda k: aic(3)),
             ("estimators.kde", case, calls, lambda k: est.kde(fresh(), spec).values),
             ("estimators.kde_deriv", case, calls, lambda k: est.kde_deriv(fresh(), spec, 1).values),
             ("estimators.lcv_table", case, calls, lambda k: lcv_table()),

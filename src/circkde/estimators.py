@@ -254,7 +254,8 @@ class CircularSample:
     reference mixture fits of mixture.fit_em, keyed by all of its
     arguments, because the rule of thumb, DPI and STE each start from the
     same fit, and the sorted view (_sorted) that the direct kernel sums
-    search for each evaluation point's window.
+    search for each evaluation point's window and whose cosines and sines
+    give the resultant of the one-component fit.
     """
 
     angles: np.ndarray
@@ -284,6 +285,12 @@ class CircularSample:
         for arr in view:
             arr.setflags(write=False)
         return view
+
+    def resultant(self):
+        """(C_1, S_1): the sums of the cosines and of the sines of the
+        angles, over the sorted view."""
+        view = self._sorted
+        return float(np.sum(view.cos)), float(np.sum(view.sin))
 
     def trig_moments(self, max_order):
         """(C, S) with C[k] = sum_i cos((k+1) Theta_i), k = 0..max_order-1.

@@ -9,9 +9,12 @@ psi_s = int f^(s) f analytically.  A model may also carry one
 concentration per component; density, coefficients, functionals and the
 sampler accept either form.
 
-Fitting is EM with seeded random restarts.  To make the fit equivariant
-under rotation of the data, initialization happens in a frame aligned with
-the sample's circular mean; the fitted means are rotated back at the end.
+One component, the default reference of every plug-in rule, is fitted in
+closed form: the von Mises MLE from the sample's first trigonometric
+moment, with no iteration.  Two or more components are fitted by EM with
+seeded random restarts.  To make that fit equivariant under rotation of
+the data, initialization happens in a frame aligned with the sample's
+circular mean; the fitted means are rotated back at the end.
 """
 
 import json
@@ -36,6 +39,7 @@ __all__ = [
     "psi_from_model",
 ]
 
+# an EM run for M >= 2 degenerates once kappa passes the cap
 _KAPPA_CAP = 1e6
 _WEIGHT_FLOOR = 1e-10
 # the EM budget of every fit: restarts per component count, iterations per run
@@ -95,6 +99,11 @@ class MixtureModel:
 
 @dataclass(frozen=True)
 class FitReport:
+    """A fitted mixture with its log-likelihood and AIC.  ``iterations``
+    counts the EM iterations of the best restart; the closed-form
+    one-component fit makes none, so it reports 0, converged True and a
+    ``loglik_path`` of its one log-likelihood."""
+
     model: MixtureModel
     loglik: float
     aic: float
@@ -159,16 +168,50 @@ def _quantile_means(x_sorted, M):
     return x_sorted[idx]
 
 
-def fit_em(sample, M, seed=0, tol=1e-8):
-    """Fit the shared-concentration mixture by best-of-restarts EM.
+def _report(M, mus, kappa, weights, ll, iterations, converged, path):
+    model = MixtureModel(M=M, mus=wrap_angle(mus), kappa=kappa, weights=weights)
+    # the report is shared by every later call with the same arguments
+    model.mus.setflags(write=False)
+    model.weights.setflags(write=False)
+    return FitReport(
+        model=model,
+        loglik=float(ll),
+        aic=-2.0 * float(ll) + 2.0 * (2 * M),
+        iterations=iterations,
+        converged=converged,
+        loglik_path=tuple(path),
+    )
 
-    Each of 10 restarts (one for M = 1, whose likelihood has one maximum)
-    runs EM for at most 500 iterations, stopping once the log-likelihood
-    changes by at most ``tol`` relative.  Initialization and all randomness
-    are derived from ``seed``; the first restart uses plain sample
-    quantiles as means, later ones jitter them.  The report is memoized on
-    the sample under (M, seed, tol), with read-only arrays, so the
-    selectors that share a sample run EM once.
+
+def _fit_von_mises(sample):
+    """The one-component fit in closed form: the von Mises MLE mu =
+    atan2(S_1, C_1), kappa = A_1^-1(R / n) with R = hypot(C_1, S_1)
+    (Banerjee et al. 2005), and its log-likelihood kappa R - n log(2 pi
+    I_0(kappa)), written as -kappa (n - R) - n log(2 pi I0e(kappa)) so that
+    it does not cancel at large kappa."""
+    n = sample.n
+    C1, S1 = sample.resultant()
+    R = math.hypot(C1, S1)
+    if R / n >= 1.0 - 1e-12:
+        raise FitError("the sample's mean resultant length is 1: kappa has no finite MLE")
+    kappa = inv_bessel_ratio(R / n)
+    ll = -kappa * (n - R) - n * math.log(2.0 * np.pi * i0e(kappa))
+    return _report(1, [math.atan2(S1, C1)], kappa, [1.0], ll, 0, True, [ll])
+
+
+def fit_em(sample, M, seed=0, tol=1e-8):
+    """Fit the shared-concentration mixture of M von Mises components.
+
+    M = 1 is the von Mises MLE in closed form (_fit_von_mises), with no EM
+    and no concentration cap: its report has iterations 0, converged True
+    and the one log-likelihood as its path, whatever ``seed`` and ``tol``.
+    M >= 2 is best-of-restarts EM: each of 10 restarts runs at most 500
+    iterations, stopping once the log-likelihood changes by at most
+    ``tol`` relative, and degenerates once kappa passes 1e6.
+    Initialization and all randomness are derived from ``seed``; the first
+    restart uses plain sample quantiles as means, later ones jitter them.
+    The report is memoized on the sample under (M, seed, tol), with
+    read-only arrays, so the selectors that share a sample fit once.
     """
     if M < 1:
         raise ValueError(f"M must be positive, got {M}")
@@ -178,6 +221,14 @@ def fit_em(sample, M, seed=0, tol=1e-8):
     n = sample.n
     if n < 2 * M:
         raise ValueError(f"need at least {2 * M} observations to fit M={M}")
+    report = _fit_von_mises(sample) if M == 1 else _fit_mixture(sample, M, seed, tol)
+    sample._fits[key] = report
+    return report
+
+
+def _fit_mixture(sample, M, seed, tol):
+    """Best of _EM_RESTARTS EM runs for M >= 2 components."""
+    n = sample.n
     # work in the frame aligned with the circular mean so a rotated sample
     # takes a rotated-but-otherwise-identical EM trajectory
     C1 = float(np.sum(np.cos(sample.angles)))
@@ -188,9 +239,8 @@ def fit_em(sample, M, seed=0, tol=1e-8):
     rbar = min(math.hypot(C1, S1) / n, 0.999)
     kappa0 = max(inv_bessel_ratio(rbar), 1.0)
 
-    restarts = 1 if M == 1 else _EM_RESTARTS
     best = None
-    for r in range(restarts):
+    for r in range(_EM_RESTARTS):
         means = _quantile_means(x_sorted, M).copy()
         if r > 0:
             rng = np.random.default_rng([seed, r])
@@ -202,27 +252,9 @@ def fit_em(sample, M, seed=0, tol=1e-8):
         if best is None or ll > best[3]:
             best = out
     if best is None:
-        raise FitError(f"all {restarts} EM restarts degenerated for M={M}")
+        raise FitError(f"all {_EM_RESTARTS} EM restarts degenerated for M={M}")
     mus, kappa, weights, ll, iters, converged, path, _ = best
-    model = MixtureModel(
-        M=M,
-        mus=wrap_angle(mus + frame),
-        kappa=kappa,
-        weights=weights,
-    )
-    # the report is shared by every later call with these arguments
-    model.mus.setflags(write=False)
-    model.weights.setflags(write=False)
-    report = FitReport(
-        model=model,
-        loglik=float(ll),
-        aic=-2.0 * float(ll) + 2.0 * (2 * M),
-        iterations=iters,
-        converged=converged,
-        loglik_path=tuple(path),
-    )
-    sample._fits[key] = report
-    return report
+    return _report(M, mus + frame, kappa, weights, ll, iters, converged, path)
 
 
 def select_aic(sample, M_max, seed=0):

@@ -554,7 +554,9 @@ def select_lcv(sample, cfg):
     moments, with values below the series' rounding floor summed directly
     where they can change the maximum or its neighbours.  The wrapped
     Epanechnikov, whose cosine series never meets the truncation
-    tolerance, sums its kernels directly.
+    tolerance, sums its kernels directly.  A chosen bandwidth whose
+    kernel is the uniform density is a pick in every family, not a
+    fallback.
     """
     _require_two(sample, "cross-validation")
     trace = []
@@ -584,9 +586,11 @@ def select_lcv(sample, cfg):
         specs, weights, peaks = _lcv_candidates(family, [h_star], exact)
         obj_star = _lcv_objectives(sample, specs, weights, peaks)[0]
         trace.append(TraceEntry(label="lcv-objective", psi=float(obj_star)))
-        if h_star >= UNIFORM_BANDWIDTH * (1.0 - 1e-12):
-            return _selection(SelectorMethod.LCV, specs[0], trace)
-        return _finalize(h_star, cfg, SelectorMethod.LCV, trace)
+        # a uniform kernel that the objective chose is a pick, not a fallback
+        spec = specs[0]
+        if spec.nu > 0.0:
+            trace.append(TraceEntry(label="final", pilot_h=h_star, pilot_nu=spec.nu))
+        return _selection(SelectorMethod.LCV, spec, trace)
     except _SOFT_ERRORS:
         return _fallback(cfg, SelectorMethod.LCV, trace, "numeric-error")
 

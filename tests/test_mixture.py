@@ -29,6 +29,7 @@ from circkde.mixture import (
     select_aic,
 )
 from circkde.selectors import SelectorConfig, select_dpi, select_rt, select_ste
+from circkde.simulate import builtin_models
 from circkde.special import bessel_ratio_span, bessel_ratios, inv_bessel_ratio
 
 em_once = mixture._em_once
@@ -272,18 +273,25 @@ class TestFitMemo:
     """fit_em keeps its report on the sample, keyed by every argument."""
 
     @staticmethod
-    def _count_em(monkeypatch):
+    def _count_fits(monkeypatch):
+        """Record M for every EM run and every closed-form M = 1 fit."""
         calls = []
+        fit_von_mises = mixture._fit_von_mises
 
         def counted(*args, **kwargs):
             calls.append(args[1])
             return em_once(*args, **kwargs)
 
+        def counted_closed_form(sample):
+            calls.append(1)
+            return fit_von_mises(sample)
+
         monkeypatch.setattr(mixture, "_em_once", counted)
+        monkeypatch.setattr(mixture, "_fit_von_mises", counted_closed_form)
         return calls
 
     def test_selectors_on_one_sample_fit_once(self, monkeypatch):
-        calls = self._count_em(monkeypatch)
+        calls = self._count_fits(monkeypatch)
         sample = two_component_sample(300, seed=21)
         cfg = SelectorConfig()
         for select in (select_rt, select_dpi, select_ste):
@@ -293,7 +301,7 @@ class TestFitMemo:
         assert calls == [1, 1]
 
     def test_other_arguments_refit(self, monkeypatch):
-        calls = self._count_em(monkeypatch)
+        calls = self._count_fits(monkeypatch)
         sample = two_component_sample(300, seed=22)
         first = fit_em(sample, 2, seed=0)
         assert fit_em(sample, 2, seed=0) is first
@@ -310,6 +318,75 @@ class TestFitMemo:
         for arr in (report.model.mus, report.model.weights):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+def _centred_em_fit(sample):
+    """The one-component fit by an EM run on the data centred at their
+    circular mean, as fit_em ran it before the closed form: (mu, kappa,
+    log-likelihood)."""
+    C = float(np.sum(np.cos(sample.angles)))
+    S = float(np.sum(np.sin(sample.angles)))
+    frame = math.atan2(S, C)
+    x = kernels.wrap_angle(sample.angles - frame)
+    kappa0 = max(inv_bessel_ratio(min(math.hypot(C, S) / sample.n, 0.999)), 1.0)
+    mus, kappa, _, ll, _, converged, _, degenerate = em_once(x, 1, [np.median(x)], kappa0)
+    assert converged and not degenerate
+    return float(mus[0]) + frame, kappa, ll
+
+
+class TestClosedFormFit:
+    """fit_em(sample, 1) is the von Mises MLE without EM."""
+
+    @pytest.mark.parametrize("n", [2, 30, 100, 10_000])
+    def test_matches_centred_em(self, n):
+        for k, model in enumerate(builtin_models()):
+            sample = model.sampler(np.random.default_rng([n, k]), n)
+            mu, kappa, ll = _centred_em_fit(sample)
+            report = fit_em(sample, 1)
+            gap = (report.model.mus[0] - mu + np.pi) % (2 * np.pi) - np.pi
+            assert abs(gap) <= 1e-12, model.name
+            assert report.model.kappa == pytest.approx(kappa, rel=1e-12, abs=0.0), model.name
+            assert report.loglik == pytest.approx(ll, rel=1e-12, abs=0.0), model.name
+
+    def test_report_fields(self):
+        sample = two_component_sample(200, seed=31)
+        report = fit_em(sample, 1, seed=5, tol=1e-3)
+        assert (report.iterations, report.converged) == (0, True)
+        assert report.loglik_path == (report.loglik,)
+        assert report.aic == -2.0 * report.loglik + 4.0
+        assert report.loglik == pytest.approx(loop_loglik(sample, report.model), rel=1e-12)
+        assert list(report.model.weights) == [1.0]
+
+    def test_no_em_and_no_trig_pass_of_its_own(self, monkeypatch):
+        sample = two_component_sample(500, seed=32)
+        sample._sorted  # built by the direct kernel sums in the selectors
+
+        def refused(*args, **kwargs):
+            raise AssertionError("no EM run or trigonometric pass expected")
+
+        monkeypatch.setattr(mixture, "_em_once", refused)
+        monkeypatch.setattr(np, "cos", refused)
+        monkeypatch.setattr(np, "sin", refused)
+        report = fit_em(sample, 1)
+        monkeypatch.undo()
+        C = float(np.sum(np.cos(sample.angles)))
+        S = float(np.sum(np.sin(sample.angles)))
+        assert report.model.mus[0] == pytest.approx(math.atan2(S, C), abs=1e-12)
+
+    def test_mean_direction_at_pi_is_wrapped(self):
+        sample = CircularSample.from_data([np.pi - 0.1, -np.pi + 0.1, -np.pi])
+        mu = fit_em(sample, 1).model.mus[0]
+        assert -np.pi <= mu < np.pi
+        assert abs(abs(mu) - np.pi) <= 1e-12
+
+    def test_large_kappa_has_no_cap(self):
+        # EM for M >= 2 degenerates past mixture._KAPPA_CAP; M = 1 has no cap
+        sample = CircularSample.from_data(np.random.default_rng(1).vonmises(0.5, 1e8, 100))
+        report = fit_em(sample, 1)
+        assert report.model.kappa > 100 * mixture._KAPPA_CAP
+        C, S = sample.resultant()
+        R = math.hypot(C, S)
+        assert bessel_ratios(report.model.kappa, 1).ratios[1] == pytest.approx(R / 100, rel=1e-15)
 
 
 class TestSelectAic:

@@ -91,12 +91,15 @@ def test_every_layer_runs_on_one_tree_against_itself():
         "rounds": 1,
         "repeats": {100: 1},
         "we_repeats": 1,
+        "mixture_repeats": 1,
         "pools": {"mc-zoo": 5, "we": 1, "large-n": 1},
     }
     src = str(ROOT / "src")
     report = bench.measure(src, src, plan)
     layers = {name.split(".")[0] for name in report["layers"]}
-    assert layers == {"special", "kernels", "moments", "estimators", "selectors", "simulate", "cli"}
+    assert layers == {
+        "special", "kernels", "moments", "mixture", "estimators", "selectors", "simulate", "cli"
+    }
     for name, cases in report["layers"].items():
         for case, cell in cases.items():
             assert cell["worst_rel_deviation"] == 0.0, (name, case)

@@ -882,6 +882,16 @@ class TestLikelihoodCrossValidation:
         obj = next(t.psi for t in sel.trace if t.label == "lcv-objective")
         assert obj == pytest.approx(-100 * math.log(2 * math.pi), rel=1e-14)
 
+    @pytest.mark.parametrize("family", [VM, WN, KernelFamily.WRAPPEDEPANECHNIKOV])
+    def test_uniform_pick_is_not_a_fallback(self, family):
+        # the wrapped normal and Epanechnikov kernels turn uniform below
+        # pi^2/3, where the von Mises does not; the pick is the same
+        s = CircularSample.from_data(np.random.default_rng(1).uniform(-np.pi, np.pi, 100))
+        sel = select_lcv(s, SelectorConfig(kernel_family=family))
+        assert sel.nu == 0.0
+        assert not sel.fallback_uniform
+        assert [t.label for t in sel.trace] == ["lcv-objective"]
+
     def test_two_antipodal_points(self):
         s = CircularSample.from_data(np.array([0.0, np.pi]))
         sel = select_lcv(s, SelectorConfig())
@@ -982,8 +992,7 @@ def _frozen_lcv(sample, cfg):
     if h_star >= UNIFORM_BANDWIDTH * (1.0 - 1e-12):
         return 0.0, False, obj
     spec = concentration_from_bandwidth(cfg.kernel_family, h_star, exact=cfg.exact_inversion)
-    if is_uniform_fallback(spec):
-        return 0.0, True, obj
+    # a uniform kernel that the objective chose is a pick, not a fallback
     return spec.nu, False, obj
 
 
@@ -1484,16 +1493,30 @@ class TestConcentratedSample:
             assert any(label.startswith("fallback:no-sign-change:") for label in labels)
 
     @pytest.mark.parametrize(
+        "name, nu",
+        [("rt", 0.9999999993552777), ("dpi", 0.9999999994677923), ("ste", 0.9999999994677923)],
+    )
+    def test_reference_fit_has_no_kappa_cap(self, name, nu):
+        # the one-component fit gives kappa 1.379e8, past EM's cap of 1e6
+        sample = CircularSample.from_data(concentrated_angles(1e8))
+        sel = selectors.SELECTORS[name](sample, SelectorConfig())
+        assert not sel.fallback_uniform
+        assert 1.0 - sel.nu == pytest.approx(1.0 - nu, rel=1e-6)
+        assert sel.trace[-1].label == "final"
+
+    @pytest.mark.parametrize(
         "name, reason",
         [("rt", "reference-fit"), ("dpi", "cascade-error"), ("ste", "numeric-error")],
     )
-    def test_reference_fit_past_the_kappa_cap_falls_back(self, name, reason):
-        # at kappa = 1e8 every EM run passes mixture._KAPPA_CAP
-        sample = CircularSample.from_data(concentrated_angles(1e8))
+    def test_reference_fit_past_the_ratio_tables_falls_back(self, name, reason):
+        # kappa 1.38e10 needs a ratio table of more than 2^20 orders
+        sample = CircularSample.from_data(concentrated_angles(1e10))
+        assert select_aic(sample, 1).model.kappa == pytest.approx(1.379e10, rel=1e-3)
         sel = selectors.SELECTORS[name](sample, SelectorConfig())
         assert sel.fallback_uniform
         assert sel.nu == 0.0 and sel.h == UNIFORM_BANDWIDTH
         assert sel.trace[-1].label == f"fallback:{reason}"
+
 
 class TestSelectionBuilder:
     """Every selector's answer comes from selectors._selection: a kernel

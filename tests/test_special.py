@@ -9,6 +9,7 @@ root finder against analytic roots.
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -303,6 +304,33 @@ class TestBesselEdgeCases:
         for kappa in (math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)):
             exact = ratios_decimal(kappa, 1)[1]
             assert abs(bessel_ratio(kappa, 1) - exact) <= 2.0 * math.ulp(exact), kappa
+
+    def test_asymptotic_series_within_one_ulp(self):
+        # from the switch on; the recurrence just below it is checked by
+        # test_asymptotic_switch_within_two_ulps
+        t = _RATIO_ASYMPTOTIC_KAPPA
+        for kappa in [t, math.nextafter(t, math.inf)] + list(np.geomspace(t, 2000.0, 200)):
+            exact = ratios_decimal(float(kappa), 1)[1]
+            assert abs(bessel_ratio(kappa, 1) - exact) <= math.ulp(exact), kappa
+
+    def test_asymptotic_series_coefficients(self):
+        # the Hankel expansions I_v(z) ~ e^z / sqrt(2 pi z) sum_k (-1)^k
+        # a_k(v) / z^k, a_k(v) = prod_{m <= k} (4 v^2 - (2m - 1)^2) / (k! 8^k),
+        # divided as power series in 1/z for v = 1 over v = 0
+        def hankel(v, k):
+            num = math.prod(4 * v * v - (2 * m - 1) ** 2 for m in range(1, k + 1))
+            return Fraction((-1) ** k * num, math.factorial(k) * 8**k)
+
+        terms = len(special._RATIO_SERIES) + 1
+        i0 = [hankel(0, k) for k in range(terms)]
+        i1 = [hankel(1, k) for k in range(terms)]
+        quotient = []
+        for k in range(terms):
+            quotient.append(i1[k] - sum(quotient[j] * i0[k - j] for j in range(k)))
+        assert quotient[0] == 1
+        assert quotient[1:4] == [Fraction(-1, 2), Fraction(-1, 8), Fraction(-1, 8)]
+        assert special._RATIO_SERIES == tuple(float(q) for q in quotient[1:])
+        assert terms == 18
 
     def test_table_entries_do_not_depend_on_its_length(self):
         # cold caches both ways round: short table first, then long first
